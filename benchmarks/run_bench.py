@@ -8,7 +8,8 @@ ensemble runner, the certification engine (batched valency estimation,
 contraction traces and packed α-class computation against their per-sequence
 / per-pair reference loops, plus a tracemalloc assertion that the streamed
 prefix enumeration stays below the materialized pass), the peak memory of
-the chunked vs dense vs packed masked reductions (tracemalloc), and the
+the single-block dense vs the shape-dispatched masked reductions
+(tracemalloc), the dense vs packed reduction kernels, and the
 asynchronous ``agreement_time`` sweep, then writes the results to
 ``BENCH_engine.json`` so the performance trajectory is tracked from PR to
 PR.
@@ -36,13 +37,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
+import repro.algorithms.base as algorithms_base
 from repro.algorithms.base import (
-    masked_extreme_pair,
-    masked_max,
-    masked_min,
-    masked_min_max,
-    masked_reduction_chunks,
-    masked_reduction_impl,
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _masked_extremes_scan,
+    _reduction_operands,
 )
 from repro.api import Study
 from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
@@ -308,13 +308,16 @@ def bench_parallel_ensemble(grid, d: int, repeats: int) -> list:
     return results
 
 
-def bench_fused_reduction(grid, repeats: int) -> list:
-    """Fused ``masked_extreme_pair`` vs two independent masked reductions.
+_KERNELS = {"dense": _masked_extremes_dense, "packed": _masked_extremes_packed}
 
-    The fused kernel resolves the receive mask once for min-on-A /
-    max-on-B (the amortized midpoint's per-round pattern); the separate
-    timing pays two resolutions.  Both sides are measured on the dense and
-    packed implementations.
+
+def bench_fused_reduction(grid, repeats: int) -> list:
+    """Fused min-on-A / max-on-B reduction vs two independent reductions.
+
+    The fused call resolves the receive mask once for min-on-A / max-on-B
+    (the amortized midpoint's per-round pattern, ``masked_extreme_pair``);
+    the separate timing pays two resolutions.  Both sides are measured on
+    the dense and the packed kernel.
     """
     results = []
     for batch_size, n, d in grid:
@@ -323,13 +326,15 @@ def bench_fused_reduction(grid, repeats: int) -> list:
         maxs = rng.uniform(-1.0, 1.0, size=(batch_size, n, d))
         adjacency = rng.random((batch_size, n, n)) < 0.3
         adjacency[..., np.arange(n), np.arange(n)] = True
-        for impl in ("dense", "packed"):
-            with masked_reduction_impl(impl):
-                separate_s, fused_s = _best_of_pair(
-                    lambda: (masked_min(adjacency, mins), masked_max(adjacency, maxs)),
-                    lambda: masked_extreme_pair(adjacency, mins, maxs),
-                    repeats,
-                )
+        for impl, kernel in _KERNELS.items():
+            separate_s, fused_s = _best_of_pair(
+                lambda: (
+                    kernel(*_reduction_operands(adjacency, mins, None)),
+                    kernel(*_reduction_operands(adjacency, None, maxs)),
+                ),
+                lambda: kernel(*_reduction_operands(adjacency, mins, maxs)),
+                repeats,
+            )
             entry = {
                 "benchmark": "fused_reduction",
                 "impl": impl,
@@ -534,26 +539,36 @@ def bench_adversarial_ensemble(grid, repeats: int) -> list:
 
 
 def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
-    """Peak memory of one batched midpoint round: dense vs chunked reductions."""
+    """Peak memory of one batched midpoint round: single-block dense vs the dispatch.
+
+    The dense side lifts the dense kernel's lead-block budget, so it
+    materializes the whole ``(B, n, n, d)`` intermediate in one block; the
+    dispatch side runs whatever kernel the shape rule picks.
+    """
     algorithm = MidpointAlgorithm()
     values = np.stack([_initial_values(n, d, seed=b) for b in range(batch_size)])
     base = complete_graph(n)
     adjacency = np.stack(
         [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
     )
+    operands = _reduction_operands(adjacency, values, values)
 
-    def one_round():
-        # Pin the np.where implementation: this entry isolates the effect of
-        # chunking, not of the packed-bit path (benchmarked separately).
-        with masked_reduction_impl("dense"):
-            algorithm.batch_transition(values, adjacency, 1)
+    def dense_round():
+        budget = algorithms_base._DENSE_BLOCK_ELEMENTS
+        algorithms_base._DENSE_BLOCK_ELEMENTS = batch_size * n * n * d
+        try:
+            lo, hi = _masked_extremes_dense(*operands)
+        finally:
+            algorithms_base._DENSE_BLOCK_ELEMENTS = budget
+        return (lo + hi) / 2.0
 
-    with masked_reduction_chunks(batch="dense", receivers="dense"):
-        dense_peak = _peak_bytes(one_round)
-        dense_s = _best_of(one_round, 3)
-    with masked_reduction_chunks(batch="auto", receivers="auto"):
-        chunked_peak = _peak_bytes(one_round)
-        chunked_s = _best_of(one_round, 3)
+    def dispatch_round():
+        algorithm.batch_transition(values, adjacency, 1)
+
+    dense_peak = _peak_bytes(dense_round)
+    dense_s = _best_of(dense_round, 3)
+    dispatch_peak = _peak_bytes(dispatch_round)
+    dispatch_s = _best_of(dispatch_round, 3)
     entry = {
         "benchmark": "masked_reduction_memory",
         "algorithm": algorithm.name,
@@ -561,16 +576,16 @@ def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
         "n": n,
         "d": d,
         "dense_peak_bytes": dense_peak,
-        "chunked_peak_bytes": chunked_peak,
-        "memory_ratio": dense_peak / chunked_peak if chunked_peak else float("inf"),
+        "dispatch_peak_bytes": dispatch_peak,
+        "memory_ratio": dense_peak / dispatch_peak if dispatch_peak else float("inf"),
         "dense_s": dense_s,
-        "chunked_s": chunked_s,
+        "dispatch_s": dispatch_s,
     }
     print(
         f"reduction-mem midpoint   B={batch_size:4d} n={n:4d} d={d} "
-        f"dense={dense_peak / 1e6:7.1f}MB chunked={chunked_peak / 1e6:7.1f}MB "
+        f"dense={dense_peak / 1e6:7.1f}MB dispatch={dispatch_peak / 1e6:7.1f}MB "
         f"ratio={entry['memory_ratio']:5.1f}x (dense={dense_s * 1e3:.2f}ms, "
-        f"chunked={chunked_s * 1e3:.2f}ms)"
+        f"dispatch={dispatch_s * 1e3:.2f}ms)"
     )
     return [entry]
 
@@ -799,7 +814,7 @@ def bench_alpha_classes(grid, repeats: int) -> list:
 
 
 def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
-    """Packed-bit masked reductions vs dense/chunked and vs the sort-and-scan path.
+    """The packed vs the dense kernel, and the sort-and-scan kernel on shared values.
 
     ``packed_s``/``dense_s`` time the general case (per-scenario values),
     ``scan_s`` the shared-values case the existing sort-and-scan covers.
@@ -812,15 +827,15 @@ def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
     adjacency = np.stack(
         [deaf_variant(base, b % n).adjacency for b in range(batch_size)]
     )
+    operands = _reduction_operands(adjacency, values, values)
     shared_values = values[:1]
+    shared_operands = _reduction_operands(adjacency, shared_values, shared_values)
 
     def general(impl):
-        with masked_reduction_impl(impl):
-            masked_min_max(adjacency, values)
+        _KERNELS[impl](*operands)
 
     def scan():
-        with masked_reduction_impl("dense"):
-            masked_min_max(adjacency, shared_values)
+        _masked_extremes_scan(*shared_operands)
 
     dense_s = _best_of(lambda: general("dense"), repeats)
     packed_s = _best_of(lambda: general("packed"), repeats)
@@ -1172,8 +1187,8 @@ def main() -> int:
         adversary_grid = [(8, 4, 5)]
         psi_grid = [(8, 12)]
         adversarial_ensemble_grid = [(4, 8, 4, 5)]
-        # Above the auto-chunk threshold (24*256*256 > 2^20 elements), so the
-        # smoke run genuinely compares the dense and chunked code paths.
+        # Above the dense block budget (24*256*256 > 2^20 elements), so the
+        # single-block dense side genuinely exceeds what the dispatch holds.
         memory_case = (24, 256, 1)
         valency_grid = [(6, 1, 20)]
         valency_memory_case = (6, 2, 10)

@@ -21,11 +21,8 @@ Two levels of generality are provided:
 from __future__ import annotations
 
 import math
-import threading
-import warnings
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,175 +35,9 @@ from repro.types import (
     packed_last_true,
 )
 
-#: A chunk setting: "auto" (heuristic), "dense" (never chunk this axis), or a
-#: positive block size.
-ChunkSetting = Union[str, int]
-
-
-class _ReductionSettings(threading.local):
-    """Per-thread masked-reduction configuration.
-
-    Each thread starts from the defaults; overrides applied in one thread
-    (via the context managers or :class:`repro.config.EngineConfig`) never
-    leak into another, so concurrent studies can run under different
-    configurations.
-    """
-
-    def __init__(self) -> None:
-        #: Chunking of the masked reductions, keyed by axis: "batch" chunks
-        #: the leading (scenario) axis, "receivers" the receiver axis.
-        self.chunks: Dict[str, ChunkSetting] = {"batch": "auto", "receivers": "auto"}
-        #: Implementation selector for the *general* masked-reduction case
-        #: (per-lead value tensors, where the shared-values sort-and-scan
-        #: cannot fire): "auto" picks the packed-bit path for large d<=2
-        #: stacks, "dense" never packs, "packed" always packs when applicable.
-        self.impl: str = "auto"
-
-
-_REDUCTION_SETTINGS = _ReductionSettings()
-
-#: In "auto" mode, dense intermediates up to this many elements skip chunking
-#: (1M float64 elements = 8 MiB); anything larger is computed in blocks whose
-#: intermediate stays below this limit.
-_AUTO_DENSE_ELEMENT_LIMIT = 1 << 20
-
-#: Names whose deprecation warning has already fired (once per process).
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated_once(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _validate_chunk_setting(key: str, value: ChunkSetting) -> None:
-    if isinstance(value, str):
-        if value not in ("auto", "dense"):
-            raise AlgorithmError(
-                f"chunk setting for {key!r} must be 'auto', 'dense' or a positive int, got {value!r}"
-            )
-    elif (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < 1
-    ):
-        raise AlgorithmError(
-            f"chunk setting for {key!r} must be 'auto', 'dense' or a positive int, got {value!r}"
-        )
-
-
-def _apply_masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> None:
-    """Validate and install a chunk configuration (no deprecation warning)."""
-    for key, value in (("batch", batch), ("receivers", receivers)):
-        _validate_chunk_setting(key, value)
-    _REDUCTION_SETTINGS.chunks["batch"] = batch
-    _REDUCTION_SETTINGS.chunks["receivers"] = receivers
-
-
-def _apply_masked_reduction_impl(general: str = "auto") -> None:
-    """Validate and install a reduction-impl selector (no deprecation warning)."""
-    if general not in ("auto", "dense", "packed"):
-        raise AlgorithmError(
-            f"reduction impl must be 'auto', 'dense' or 'packed', got {general!r}"
-        )
-    _REDUCTION_SETTINGS.impl = general
-
-
-def set_masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> None:
-    """Configure how :func:`masked_min`/:func:`masked_max` block their work.
-
-    .. deprecated::
-        Mutating the configuration in place is deprecated; use the
-        exception-safe :func:`masked_reduction_chunks` context manager or a
-        :class:`repro.config.EngineConfig` scope instead.
-
-    Each axis accepts ``"auto"`` (chunk only when the dense ``(B, n, n, d)``
-    intermediate would be large), ``"dense"`` (never chunk this axis), or a
-    positive integer block size.  Chunked and dense evaluations are bit-for-bit
-    identical; chunking only bounds peak memory to ``O(chunk · n · d)``.
-    The configuration is thread-local.
-    """
-    _warn_deprecated_once(
-        "set_masked_reduction_chunks",
-        "the masked_reduction_chunks(...) context manager or repro.config.EngineConfig "
-        "(note: the configuration is thread-local — this call only affects the "
-        "calling thread)",
-    )
-    _apply_masked_reduction_chunks(batch=batch, receivers=receivers)
-
-
-def get_masked_reduction_chunks() -> Dict[str, ChunkSetting]:
-    """The current thread's chunk configuration (a copy)."""
-    return dict(_REDUCTION_SETTINGS.chunks)
-
-
-def set_masked_reduction_impl(general: str = "auto") -> None:
-    """Choose the implementation of the general masked-reduction case.
-
-    .. deprecated::
-        Mutating the selector in place is deprecated; use the exception-safe
-        :func:`masked_reduction_impl` context manager or a
-        :class:`repro.config.EngineConfig` scope instead.
-
-    ``"auto"`` (default) routes large ``(B, n, n)`` reductions with small
-    ``d`` through the packed-bit scan of :func:`repro.types.pack_bool_rows`;
-    ``"dense"`` forces the dense/chunked ``np.where`` path; ``"packed"``
-    forces the packed path whenever it is applicable (float values without
-    NaNs).  All implementations are bit-for-bit identical.  The selector is
-    thread-local.
-    """
-    _warn_deprecated_once(
-        "set_masked_reduction_impl",
-        "the masked_reduction_impl(...) context manager or repro.config.EngineConfig "
-        "(note: the selector is thread-local — this call only affects the "
-        "calling thread)",
-    )
-    _apply_masked_reduction_impl(general)
-
-
-def get_masked_reduction_impl() -> str:
-    """The current thread's general masked-reduction implementation selector."""
-    return _REDUCTION_SETTINGS.impl
-
-
-@contextmanager
-def masked_reduction_impl(general: str = "auto") -> Iterator[None]:
-    """Temporarily override the general masked-reduction implementation.
-
-    The previous value is restored even when the body raises.
-    """
-    previous = _REDUCTION_SETTINGS.impl
-    _apply_masked_reduction_impl(general)
-    try:
-        yield
-    finally:
-        _REDUCTION_SETTINGS.impl = previous
-
-
-@contextmanager
-def masked_reduction_chunks(
-    batch: ChunkSetting = "auto", receivers: ChunkSetting = "auto"
-) -> Iterator[None]:
-    """Temporarily override the masked-reduction chunk configuration.
-
-    The previous configuration is restored even when the body raises.
-    """
-    previous = get_masked_reduction_chunks()
-    _apply_masked_reduction_chunks(batch=batch, receivers=receivers)
-    try:
-        yield
-    finally:
-        _REDUCTION_SETTINGS.chunks.update(previous)
+#: The dense kernel reduces the leading axis in blocks whose float
+#: intermediate stays below this many elements (1M float64 = 8 MiB).
+_DENSE_BLOCK_ELEMENTS = 1 << 20
 
 
 def receive_mask(adjacency: np.ndarray) -> np.ndarray:
@@ -225,11 +56,12 @@ def masked_min(adjacency: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     ``adjacency`` is a boolean ``(..., n, n)`` tensor and ``values`` a
     ``(..., n, d)`` tensor; row ``j`` of the result is the minimum over the
-    values of ``j``'s in-neighbors.  This is the one authoritative masked
-    reduction shared by the fast-path algorithms and the convexity validator.
-    Large inputs are reduced in blocks (see
-    :func:`set_masked_reduction_chunks`) so peak memory stays bounded by the
-    chunk size instead of the full ``(B, n, n, d)`` dense intermediate.
+    values of ``j``'s in-neighbors (``inf`` when ``j`` hears nobody, NaN when
+    ``j`` hears a NaN).  This is the one authoritative masked reduction shared
+    by the fast-path algorithms and the convexity validator.  The kernel is
+    chosen from the input shape alone (see :func:`_select_kernel`); every
+    kernel returns the same bits, and peak memory stays bounded instead of
+    growing with the full ``(B, n, n, d)`` dense intermediate.
     """
     lo, _hi = _masked_extremes_pair(adjacency, values, None)
     return lo
@@ -245,9 +77,9 @@ def masked_min_max(adjacency: np.ndarray, values: np.ndarray) -> Tuple[np.ndarra
     """Both masked extremes in one pass.
 
     Equivalent to ``(masked_min(a, v), masked_max(a, v))`` but shares the
-    receive-mask, shape resolution and (on the sort-and-scan fast path) the
-    per-coordinate gather between the two reductions — use it whenever an
-    update needs both bounds (midpoint-style rules, convexity checks).
+    receive-mask, shape resolution and the per-coordinate sort between the
+    two reductions — use it whenever an update needs both bounds
+    (midpoint-style rules, convexity checks).
     """
     return _masked_extremes_pair(adjacency, values, values)
 
@@ -261,8 +93,8 @@ def masked_extreme_pair(
 
     Returns ``(masked_min(adjacency, min_values), masked_max(adjacency,
     max_values))`` bit-for-bit, but resolves the receive mask once and shares
-    it — along with the broadcasting work and, on the chunked dense path,
-    each expanded mask block — between the two reductions.  This is the
+    it — along with the broadcasting work and, on the dense kernel, each
+    expanded mask block — between the two reductions.  This is the
     amortized midpoint's per-round pattern: the minimum runs over the
     phase-min tensor while the maximum runs over the phase-max tensor of the
     same adjacency.  Either side may be ``None`` to skip that extreme;
@@ -276,67 +108,43 @@ def masked_extreme_pair(
     return _masked_extremes_pair(adjacency, min_values, max_values)
 
 
-def _resolve_chunks(lead_count: int, lead0: int, n_receivers: int, n: int, d: int):
-    """Resolve the chunk configuration to concrete block sizes.
+def _float_dtype(values: np.ndarray) -> np.dtype:
+    """The dense kernel's output dtype: ``np.where(mask, values, inf)`` keeps a
+    floating dtype and promotes anything else to float64."""
+    if np.issubdtype(values.dtype, np.floating):
+        return values.dtype
+    return np.result_type(values.dtype, float)
 
-    Returns ``None`` for the dense path, else a ``(batch_chunk,
-    receiver_chunk)`` pair of block sizes over the leading axis and the
-    receiver axis.  An ``"auto"`` axis shrinks until the per-block
-    intermediate fits ``_AUTO_DENSE_ELEMENT_LIMIT`` given the other axis's
-    setting (receivers shrink first, then the leading axis), so the memory
-    bound holds for mixed configurations too; explicit integer settings
-    always take the chunked path.
+
+def _nan_tail_reversed(order: np.ndarray, sorted_column: np.ndarray):
+    """Reverse the NaN tail of stably sorted columns (rows along the last axis).
+
+    A stable ``argsort`` puts NaNs last, in sender order.  Reversing that
+    tail makes the *last* received position that lands in it the *first*
+    received NaN in sender order — the element the dense reduction
+    propagates (``np.minimum``/``np.maximum`` keep the NaN they meet first).
+    Returns ``(order, sorted_column, nan_start)`` with ``nan_start`` the
+    per-row index where the tail begins (keepdims), or ``None`` — after an
+    O(rows) check — when no row holds a NaN.
     """
-    batch_cfg = _REDUCTION_SETTINGS.chunks["batch"]
-    recv_cfg = _REDUCTION_SETTINGS.chunks["receivers"]
-    if batch_cfg == "dense" and recv_cfg == "dense":
-        return None
-    limit = _AUTO_DENSE_ELEMENT_LIMIT
-    # Elements contributed per unit of the first leading axis per receiver row.
-    per_batch_unit = max((lead_count // max(lead0, 1)) * n * d, 1)
-    explicit = isinstance(batch_cfg, (int, np.integer)) or isinstance(
-        recv_cfg, (int, np.integer)
+    if not np.isnan(sorted_column[..., -1]).any():
+        return order, sorted_column, None
+    n = sorted_column.shape[-1]
+    nan_start = n - np.isnan(sorted_column).sum(axis=-1, keepdims=True)
+    positions = np.arange(n)
+    flip = np.where(positions >= nan_start, nan_start + n - 1 - positions, positions)
+    return (
+        np.take_along_axis(order, flip, axis=-1),
+        np.take_along_axis(sorted_column, flip, axis=-1),
+        nan_start,
     )
-
-    if isinstance(batch_cfg, (int, np.integer)):
-        batch_chunk: Optional[int] = min(int(batch_cfg), lead0)
-    else:
-        batch_chunk = lead0 if batch_cfg == "dense" else None  # None = auto
-    if isinstance(recv_cfg, (int, np.integer)):
-        receiver_chunk: Optional[int] = min(int(recv_cfg), n_receivers)
-    else:
-        receiver_chunk = n_receivers if recv_cfg == "dense" else None
-
-    if receiver_chunk is None:
-        batch_estimate = batch_chunk if batch_chunk is not None else lead0
-        if batch_estimate * per_batch_unit * n_receivers <= limit:
-            receiver_chunk = n_receivers
-        else:
-            receiver_chunk = min(
-                n_receivers, max(1, limit // (batch_estimate * per_batch_unit))
-            )
-    if batch_chunk is None:
-        if lead0 * per_batch_unit * receiver_chunk <= limit or lead0 <= 1:
-            batch_chunk = lead0
-        else:
-            batch_chunk = min(lead0, max(1, limit // (per_batch_unit * receiver_chunk)))
-
-    batch_chunk = max(batch_chunk, 1)
-    receiver_chunk = max(receiver_chunk, 1)
-    if (
-        not explicit
-        and batch_chunk >= lead0
-        and receiver_chunk >= n_receivers
-        and lead0 * per_batch_unit * n_receivers <= limit
-    ):
-        return None
-    return (batch_chunk, receiver_chunk)
 
 
 def _masked_extremes_scan(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
+    lead: tuple,
 ):
     """Sort-and-scan masked extremes for values shared across the mask's batch.
 
@@ -347,29 +155,37 @@ def _masked_extremes_scan(
     intermediate with a byte-sized one — both faster and leaner when many
     candidate masks share one value matrix (the adversaries' stacked
     candidate evaluation).  Exact: a set extreme does not depend on the
-    evaluation order.  When the two sides are the same object the sort and
-    the boolean gather are shared; distinct tensors still share the
-    has-neighbor vector (and the caller's single mask resolution).
+    evaluation order, and a receiver whose last in-neighbor lands in the NaN
+    tail takes the NaN the dense kernel would (see :func:`_nan_tail_reversed`).
+    When the two sides are the same object the sort and the boolean gather
+    are shared; distinct tensors still share the has-neighbor vector (and the
+    caller's single mask resolution).
     """
-    last_axis = mask.shape[-1]
+    n_receivers, last_axis = mask.shape[-2:]
     has_neighbor = mask.any(axis=-1)  # (..., n_receivers)
 
     def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
-        _n, d = values.shape
+        d = values.shape[-1]
+        values = values.reshape(last_axis, d)
         lo_columns, hi_columns = [], []
         for coord in range(d):
             column = values[:, coord]
             order = np.argsort(column, kind="stable")
-            sorted_column = column[order]
+            sorted_column = column[order].astype(_float_dtype(column), copy=False)
+            order, sorted_column, nan_start = _nan_tail_reversed(order, sorted_column)
             sorted_mask = mask[..., order]
+            if want_max or nan_start is not None:
+                last_hit = last_axis - 1 - sorted_mask[..., ::-1].argmax(axis=-1)
             if want_min:
                 first_hit = sorted_mask.argmax(axis=-1)
+                if nan_start is not None:
+                    first_hit = np.where(last_hit >= nan_start[0], last_hit, first_hit)
                 lo_columns.append(np.where(has_neighbor, sorted_column[first_hit], np.inf))
             if want_max:
-                last_hit = last_axis - 1 - sorted_mask[..., ::-1].argmax(axis=-1)
                 hi_columns.append(np.where(has_neighbor, sorted_column[last_hit], -np.inf))
-        lo = np.stack(lo_columns, axis=-1) if want_min else None
-        hi = np.stack(hi_columns, axis=-1) if want_max else None
+        out_shape = lead + (n_receivers, d)
+        lo = np.stack(lo_columns, axis=-1).reshape(out_shape) if want_min else None
+        hi = np.stack(hi_columns, axis=-1).reshape(out_shape) if want_max else None
         return lo, hi
 
     if min_values is not None and min_values is max_values:
@@ -392,9 +208,12 @@ def _masked_extremes_packed(
     receiver's mask row *permuted into sorted order*; packing those rows via
     ``np.packbits`` answers all queries with one byte-level ``argmax`` and a
     table lookup.  The largest intermediate is the permuted boolean mask —
-    an eighth of the dense path's float64 ``np.where`` tensor at ``d == 1``
+    an eighth of the dense kernel's float64 ``np.where`` tensor at ``d == 1``
     before packing even starts — and the selected floats are actual elements
-    of ``values``, so the result is bit-for-bit equal to the dense path.
+    of ``values``, so the result is bit-for-bit equal to the dense kernel.
+    NaNs need no separate pass: a receiver whose last set bit lands in a
+    scenario's NaN tail takes the NaN the dense kernel propagates (see
+    :func:`_nan_tail_reversed`), and NaN-free stacks pay one O(lead) check.
 
     The column gather runs as one boolean fancy-index per lead scenario —
     measured the fastest layout here: both a broadcast ``take_along_axis``
@@ -412,7 +231,7 @@ def _masked_extremes_packed(
     :func:`repro.types.packed_first_last_true` sweep) are shared too.
     """
     n_receivers, n = mask.shape[-2], mask.shape[-1]
-    lead_count = math.prod(lead) if lead else 1
+    lead_count = math.prod(lead)
     mask_flat = np.broadcast_to(mask, lead + (n_receivers, n)).reshape(
         lead_count, n_receivers, n
     )
@@ -422,11 +241,7 @@ def _masked_extremes_packed(
     def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
         d = values.shape[-1]
         values_flat = np.broadcast_to(values, lead + (n, d)).reshape(lead_count, n, d)
-        out_dtype = (
-            values.dtype
-            if np.issubdtype(values.dtype, np.floating)
-            else np.result_type(values.dtype, float)
-        )
+        out_dtype = _float_dtype(values)
         lo = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_min else None
         hi = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_max else None
         order = np.argsort(values_flat, axis=-2, kind="stable")  # (L, n, d)
@@ -434,17 +249,23 @@ def _masked_extremes_packed(
             column_order = order[..., coord]  # (L, n)
             sorted_column = np.take_along_axis(values_flat[..., coord], column_order, axis=-1)
             sorted_column = sorted_column.astype(out_dtype, copy=False)
+            column_order, sorted_column, nan_start = _nan_tail_reversed(
+                column_order, sorted_column
+            )
             for scenario in range(lead_count):
                 permuted[scenario] = mask_flat[scenario][:, column_order[scenario]]
             packed = pack_bool_rows(permuted)  # (L, R, ceil(n/8))
-            if want_min and want_max:
+            if want_min and (want_max or nan_start is not None):
                 first, last = packed_first_last_true(packed, n)
             elif want_min:
                 first = packed_first_true(packed, n)  # (L, R); n = no neighbor
             else:
                 last = packed_last_true(packed, n)  # (L, R); -1 = no neighbor
             if want_min:
-                gathered = np.take_along_axis(sorted_column, np.minimum(first, n - 1), axis=-1)
+                pick = np.minimum(first, n - 1)
+                if nan_start is not None:
+                    pick = np.where(last >= nan_start, last, pick)
+                gathered = np.take_along_axis(sorted_column, pick, axis=-1)
                 lo[..., coord] = np.where(first < n, gathered, np.inf)
             if want_max:
                 gathered = np.take_along_axis(sorted_column, np.maximum(last, 0), axis=-1)
@@ -461,20 +282,101 @@ def _masked_extremes_packed(
     return lo, hi
 
 
-def _masked_extremes_pair(
+def _masked_extremes_dense(
+    mask: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+    lead: tuple,
+):
+    """The reference masked extremes: ``np.where`` over the sender axis.
+
+    Materializes the ``(..., n_receivers, n, d)`` float intermediate, so it
+    walks the first lead axis in blocks whose intermediate stays below
+    ``_DENSE_BLOCK_ELEMENTS`` — the kernel's only memory guard.  Blocking the
+    lead axis leaves every receiver's reduction intact, so the result does
+    not depend on the block size.
+    """
+    n_receivers, n = mask.shape[-2:]
+    d = (min_values if min_values is not None else max_values).shape[-1]
+    lead0 = lead[0] if lead else 1
+    per_lead0 = (math.prod(lead) // max(lead0, 1)) * n_receivers * n * d
+    block = max(1, _DENSE_BLOCK_ELEMENTS // max(per_lead0, 1))
+
+    def reduce(mask_block, min_block, max_block):
+        expanded_mask = mask_block[..., None]
+        lo = (
+            np.where(expanded_mask, min_block[..., None, :, :], np.inf).min(axis=-2)
+            if min_block is not None
+            else None
+        )
+        hi = (
+            np.where(expanded_mask, max_block[..., None, :, :], -np.inf).max(axis=-2)
+            if max_block is not None
+            else None
+        )
+        return lo, hi
+
+    if block >= lead0:
+        return reduce(mask, min_values, max_values)
+
+    def full(array):
+        if array is None:
+            return None
+        return np.broadcast_to(array, lead + array.shape[-2:])
+
+    mask_full, min_full, max_full = full(mask), full(min_values), full(max_values)
+    blocks = [
+        reduce(
+            mask_full[start : start + block],
+            None if min_full is None else min_full[start : start + block],
+            None if max_full is None else max_full[start : start + block],
+        )
+        for start in range(0, lead0, block)
+    ]
+    return tuple(
+        None if side is None else np.concatenate([pair[index] for pair in blocks])
+        for index, side in enumerate((min_values, max_values))
+    )
+
+
+def _select_kernel(lead_count: int, n: int, d: int, shared_values: bool):
+    """The masked-extremes kernel for an input shape; the values are never read.
+
+    * Values shared by a stack of masks (``lead_count > 1``, every value
+      lead axis of size 1, ``d <= 8``) take the sort-and-scan kernel.
+    * Otherwise the packed kernel runs above the measured crossover with the
+      dense kernel.  Dense pays per element of the ``(lead, n, n, d)``
+      intermediate — at ``d == 1`` its ``np.where``/``min`` passes are
+      contiguous and several times cheaper per element — while packed pays a
+      fixed cost per call and per scenario for every coordinate.  Hence one
+      threshold on ``n`` (per-scenario work) and one on ``lead · n²`` (the
+      per-call overhead), both scaled by ``d`` beyond one coordinate.  On the
+      (lead, n, d) grid in README.md ("Masked reductions") the chosen kernel
+      is within 1.25x of the faster one at every point.
+    * Everything else runs dense.
+    """
+    if shared_values and lead_count > 1 and d <= 8:
+        return _masked_extremes_scan
+    work = lead_count * n * n
+    if d == 1:
+        packed = n >= 40 and work >= 1 << 15
+    else:
+        packed = n * n >= 256 * d and work >= 4096 * d
+    return _masked_extremes_packed if packed else _masked_extremes_dense
+
+
+def _reduction_operands(
     adjacency: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
 ):
-    """Dispatch core of all masked extremes: one mask resolution per call.
+    """Validate the operands of a masked reduction and resolve its mask once.
 
-    ``min_values`` feeds the minimum and ``max_values`` the maximum; either
-    may be ``None`` (that side is skipped) and passing the same object for
-    both recovers the shared-sort single-tensor behaviour of
-    :func:`masked_min_max`.  Every implementation path — sort-and-scan,
-    packed-bit, chunked/dense — receives the one mask produced here, so a
-    caller needing both extremes pays for exactly one
-    :func:`receive_mask` resolution regardless of path.
+    Returns ``(mask, min_values, max_values, lead)``: the receive mask, the
+    value tensors as arrays (one object when both sides are the same), and
+    the broadcast leading (scenario/candidate) shape — exactly the arguments
+    every kernel takes, so ``kernel(*_reduction_operands(a, lo, hi))`` runs
+    one kernel on its own.
     """
     adjacency_arr = np.asarray(adjacency)
     if adjacency_arr.ndim < 2 or adjacency_arr.shape[-1] != adjacency_arr.shape[-2]:
@@ -507,127 +409,42 @@ def _masked_extremes_pair(
             f"disagree on the coordinate dimension: {sides[0].shape[-1]} vs {sides[1].shape[-1]}"
         )
     mask = receive_mask(adjacency_arr)
-    mask_lead = mask.shape[:-2]
-    value_leads = [values.shape[:-2] for values in sides]
     try:
-        lead = np.broadcast_shapes(mask_lead, *value_leads)
+        lead = np.broadcast_shapes(mask.shape[:-2], *(values.shape[:-2] for values in sides))
     except ValueError as exc:
         raise EnsembleShapeError(
             f"adjacency tensor {adjacency_arr.shape} and value tensor(s) "
             f"{[tuple(v.shape) for v in sides]} have incompatible leading "
             "(scenario/candidate) axes"
         ) from exc
-    n_receivers, n = mask.shape[-2], mask.shape[-1]
-    d = sides[0].shape[-1]
-    lead_count = math.prod(lead) if lead else 1
-    lead0 = lead[0] if lead else 1
+    return mask, min_arr, max_arr, lead
 
-    # Sparse-aware fast path: one value matrix shared by a whole stack of
-    # masks (the adversaries' candidate evaluation) reduces via sort-and-scan
-    # instead of a dense float64 intermediate.
-    if (
-        lead_count > 1
-        and d <= 8
-        and all(size == 1 for values_lead in value_leads for size in values_lead)
-        and not any(np.isnan(values).any() for values in sides)
-    ):
-        min_flat = min_arr.reshape(n, d) if min_arr is not None else None
-        if shared:
-            max_flat = min_flat
-        else:
-            max_flat = max_arr.reshape(n, d) if max_arr is not None else None
-        lo, hi = _masked_extremes_scan(mask, min_flat, max_flat)
-        out_shape = lead + (n_receivers, d)
-        return (
-            lo.reshape(out_shape) if lo is not None else None,
-            hi.reshape(out_shape) if hi is not None else None,
-        )
 
-    # Packed-bit path for the general case (per-lead value tensors).  In
-    # "auto" mode it fires where the dense intermediate would be chunked
-    # anyway and the coordinate count is small; "packed" forces it whenever
-    # the values are NaN-free (NaNs need the dense propagation semantics).
-    impl = _REDUCTION_SETTINGS.impl
-    if impl != "dense":
-        auto_fire = (
-            impl == "packed"
-            or (
-                lead_count > 1
-                and d <= 2
-                and n >= 32
-                and lead_count * n_receivers * n * d > _AUTO_DENSE_ELEMENT_LIMIT
-            )
-        )
-        if auto_fire and all(
-            not np.issubdtype(values.dtype, np.floating) or not np.isnan(values).any()
-            for values in sides
-        ):
-            return _masked_extremes_packed(mask, min_arr, max_arr, lead)
+def _masked_extremes_pair(
+    adjacency: np.ndarray,
+    min_values: Optional[np.ndarray],
+    max_values: Optional[np.ndarray],
+):
+    """Dispatch core of all masked extremes: one mask resolution per call.
 
-    chunks = _resolve_chunks(lead_count, lead0, n_receivers, n, d)
-
-    if chunks is None:
-        expanded_mask = mask[..., None]
-        lo = (
-            np.where(expanded_mask, min_arr[..., None, :, :], np.inf).min(axis=-2)
-            if min_arr is not None
-            else None
-        )
-        hi = (
-            np.where(expanded_mask, max_arr[..., None, :, :], -np.inf).max(axis=-2)
-            if max_arr is not None
-            else None
-        )
-        return lo, hi
-
-    batch_chunk, receiver_chunk = chunks
-    mask_full = np.broadcast_to(mask, lead + mask.shape[-2:])
-
-    # Match the dense path's promotion: np.where(mask, values, inf) keeps a
-    # floating values dtype and promotes anything else to float64.
-    def _output_for(values: np.ndarray) -> np.ndarray:
-        out_dtype = (
-            values.dtype
-            if np.issubdtype(values.dtype, np.floating)
-            else np.result_type(values.dtype, float)
-        )
-        return np.empty(lead + (n_receivers, d), dtype=out_dtype)
-
-    min_full = (
-        np.broadcast_to(min_arr, lead + min_arr.shape[-2:]) if min_arr is not None else None
+    ``min_values`` feeds the minimum and ``max_values`` the maximum; either
+    may be ``None`` (that side is skipped) and passing the same object for
+    both recovers the shared-sort single-tensor behaviour of
+    :func:`masked_min_max`.  The kernel :func:`_select_kernel` picks from the
+    operand shapes receives the one mask :func:`_reduction_operands`
+    resolved, so a caller needing both extremes pays for exactly one
+    :func:`receive_mask` resolution.
+    """
+    mask, min_arr, max_arr, lead = _reduction_operands(adjacency, min_values, max_values)
+    values = min_arr if min_arr is not None else max_arr
+    shared_values = all(
+        size == 1
+        for arr in (min_arr, max_arr)
+        if arr is not None
+        for size in arr.shape[:-2]
     )
-    if shared:
-        max_full = min_full
-    else:
-        max_full = (
-            np.broadcast_to(max_arr, lead + max_arr.shape[-2:])
-            if max_arr is not None
-            else None
-        )
-    lo = _output_for(min_arr) if min_arr is not None else None
-    hi = _output_for(max_arr) if max_arr is not None else None
-    if lead:
-        batch_slices = [
-            slice(start, start + batch_chunk) for start in range(0, lead0, batch_chunk)
-        ]
-    else:
-        batch_slices = [slice(None)]
-    for batch_slice in batch_slices:
-        mask_block = mask_full[batch_slice]
-        min_block = min_full[batch_slice] if min_full is not None else None
-        max_block = max_full[batch_slice] if max_full is not None else None
-        for start in range(0, n_receivers, receiver_chunk):
-            stop = start + receiver_chunk
-            sub = mask_block[..., start:stop, :, None]
-            if lo is not None:
-                lo[batch_slice][..., start:stop, :] = np.where(
-                    sub, min_block[..., None, :, :], np.inf
-                ).min(axis=-2)
-            if hi is not None:
-                hi[batch_slice][..., start:stop, :] = np.where(
-                    sub, max_block[..., None, :, :], -np.inf
-                ).max(axis=-2)
-    return lo, hi
+    kernel = _select_kernel(math.prod(lead), mask.shape[-1], values.shape[-1], shared_values)
+    return kernel(mask, min_arr, max_arr, lead)
 
 
 class Algorithm(ABC):

@@ -5,8 +5,8 @@ bit-for-bit (or last-ulp) identical results for the same scenario:
 
 * ``fast_vs_reference`` — ``run_execution`` with ``use_fast_path`` on/off,
 * ``batch_vs_loop`` — ``run_ensemble`` with ``use_batch`` on/off,
-* ``packed_vs_dense`` — the batched ensemble under the packed vs the dense
-  masked-reduction kernels,
+* ``packed_vs_dense`` — the packed vs the dense masked-reduction kernel on
+  every round of the case's batched trajectory (NaN-bearing values included),
 * ``facade_vs_direct`` — ``Study`` vs the engine call it compiles to,
 * ``faulted_batch_vs_loop`` — the vectorized fault-mask path vs the
   per-scenario reference loop under a :class:`~repro.faults.FaultPlan`,
@@ -31,7 +31,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, masked_reduction_impl
+from repro.algorithms.base import (
+    Algorithm,
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _reduction_operands,
+)
 from repro.campaign.registry import (
     FuzzEntry,
     ORDERED_ENTRIES,
@@ -390,26 +395,57 @@ def _side_ensemble(
     algorithm: Algorithm,
     use_batch: Optional[bool],
     fault_plan: Optional[FaultPlan] = None,
-    impl: Optional[str] = None,
 ):
     from repro.execution import run_ensemble
 
-    def run():
-        return run_ensemble(
+    execution = run_ensemble(
+        algorithm,
+        spec.values,
+        ensemble_graphs(spec),
+        record_every=spec.record_every,
+        use_batch=use_batch,
+        fault_plan=fault_plan,
+    )
+    return _ensemble_payload(execution)
+
+
+def _side_kernel(spec: CaseSpec, algorithm: Algorithm, kernel) -> Dict[str, np.ndarray]:
+    """One masked-reduction kernel over every round of the batched trajectory.
+
+    Round ``r``'s masked extremes are taken over the ensemble's outputs
+    before that round under that round's adjacency: the operands the
+    round-``r`` transition of a midpoint-style rule reduces.
+    """
+    from repro.execution import run_ensemble
+
+    # NaN-bearing cases legitimately hit invalid operations (0/0 in the
+    # averaging rules); both sides run the identical trajectory.  The error
+    # state is thread-local, so the trajectory stays on this thread.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        execution = run_ensemble(
             algorithm,
             spec.values,
             ensemble_graphs(spec),
-            record_every=spec.record_every,
-            use_batch=use_batch,
-            fault_plan=fault_plan,
+            record_every=1,
+            use_batch=True,
+            threads=1,
         )
-
-    if impl is not None:
-        with masked_reduction_impl(impl):
-            execution = run()
-    else:
-        execution = run()
-    return _ensemble_payload(execution)
+    lows, highs = [], []
+    for outputs, round_graphs in zip(execution.recorded_outputs, spec.graphs):
+        if isinstance(round_graphs, CommunicationGraph):
+            adjacency = round_graphs.adjacency
+        else:
+            adjacency = np.stack([graph.adjacency for graph in round_graphs])
+        lo, hi = kernel(*_reduction_operands(adjacency, outputs, outputs))
+        lows.append(lo)
+        highs.append(hi)
+    extremes = np.stack([np.stack(lows), np.stack(highs)])
+    return {
+        "recorded_outputs": np.asarray(execution.recorded_outputs, dtype=float),
+        "masked_extremes": extremes,
+        # The payload comparison treats every NaN alike; pin their signs too.
+        "negative_nans": (np.isnan(extremes) & np.signbit(extremes)).astype(float),
+    }
 
 
 def _side_facade(spec: CaseSpec, algorithm: Algorithm):
@@ -476,8 +512,8 @@ TARGETS: Dict[str, Target] = {
         ),
         Target(
             key="packed_vs_dense",
-            left=lambda spec, a: _side_ensemble(spec, a, use_batch=True, impl="packed"),
-            right=lambda spec, a: _side_ensemble(spec, a, use_batch=True, impl="dense"),
+            left=lambda spec, a: _side_kernel(spec, a, _masked_extremes_packed),
+            right=lambda spec, a: _side_kernel(spec, a, _masked_extremes_dense),
             requires_batch=True,
         ),
         Target(
@@ -616,6 +652,12 @@ def build_case(target: str, case_seed: int) -> CaseSpec:
     plan = None
     if target_def.requires_plan:
         plan = random_fault_plan(rng, n, rounds)
+    if target == "packed_vs_dense" and rng.random() < 0.3:
+        # NaNs of both signs: the kernels must propagate the same NaN bits.
+        hit = rng.random(values.shape) < rng.choice([0.05, 0.3])
+        negative = rng.random(values.shape) < 0.5
+        values[hit & negative] = -np.nan
+        values[hit & ~negative] = np.nan
     return CaseSpec(
         target=target,
         algorithm=entry.key,

@@ -1,4 +1,4 @@
-"""Tests for the batched adversarial search engine and the chunked reductions.
+"""Tests for the batched adversarial search engine and the masked reductions.
 
 Three properties are enforced:
 
@@ -7,8 +7,10 @@ Three properties are enforced:
   generic greedy/lookahead runs), on both execution paths;
 * :func:`repro.execution.run_adversarial_ensemble` commits the same graph
   sequences and outputs as independent per-scenario runs;
-* the chunked masked reductions are bit-for-bit equal to the dense ones for
-  every chunk configuration, including chunk=1 and chunk > B.
+* every masked-reduction kernel is bit-for-bit equal to the plain dense
+  reduction on every broadcast layout, for every split of the lead axis into
+  per-call shards and every lead block of the dense kernel, including blocks
+  of one scenario and of more than B scenarios.
 """
 
 import numpy as np
@@ -20,25 +22,25 @@ from repro.algorithms import (
     MidpointAlgorithm,
     TwoAgentThirdsAlgorithm,
 )
+import repro.algorithms.base as base_module
 from repro.algorithms.base import (
     ConvexCombinationAlgorithm,
-    get_masked_reduction_chunks,
     masked_max,
     masked_min,
     masked_min_max,
-    masked_reduction_chunks,
-    set_masked_reduction_chunks,
 )
+from repro.config import EngineConfig, current_engine_config
 from repro.core.adversary import (
     GreedyDiameterAdversary,
     LookaheadDiameterAdversary,
     PsiBlockAdversary,
     TwoAgentAdversary,
 )
-from repro.exceptions import AlgorithmError, ExecutionError
+from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
 from repro.execution.batch import _batch_diameters, _round_adjacency
 from repro.execution.engine import _AdjacencyCache
+from repro.execution.parallel import shard_bounds
 from repro.graphs.families import complete_graph, cycle_graph
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax
@@ -357,7 +359,7 @@ class TestHistoryDependentAdversary:
 
 
 # --------------------------------------------------------------------------- #
-# Chunked masked reductions
+# Masked-reduction kernels
 # --------------------------------------------------------------------------- #
 
 
@@ -366,43 +368,117 @@ def _dense_masked_min(adjacency, values):
     return np.where(mask, values[..., None, :, :], np.inf).min(axis=-2)
 
 
+def _lead_shards(adjacency, values, shard):
+    """Cut the first broadcast lead axis into per-call shards.
+
+    ``shard`` is a shard size in scenarios, ``"dense"`` for one call over the
+    whole stack, or ``"auto"`` for the four-way split the parallel backend
+    makes under ``threads=4``.  Only operands that carry the axis are cut;
+    broadcast operands are passed whole to every shard.
+    """
+    lead = np.broadcast_shapes(adjacency.shape[:-2], values.shape[:-2])
+    if not lead:
+        return [(adjacency, values)]
+    total = lead[0]
+    if shard == "dense":
+        bounds = [(0, total)]
+    elif shard == "auto":
+        bounds = shard_bounds(total, 4)
+    else:
+        bounds = [(start, min(start + shard, total)) for start in range(0, total, shard)]
+
+    def cut(array, start, stop):
+        if array.ndim - 2 == len(lead) and array.shape[0] == total:
+            return array[start:stop]
+        return array
+
+    return [(cut(adjacency, *bound), cut(values, *bound)) for bound in bounds]
+
+
 class TestChunkedReductions:
+    """The kernels, the dense kernel's lead blocks and per-shard dispatch."""
+
     SHAPES = [
         ((6, 6), (6, 2)),          # single graph, single scenario
         ((5, 6, 6), (5, 6, 2)),    # per-scenario graphs
         ((3, 6, 6), (5, 1, 6, 2)), # candidate axis crossed with scenarios
         ((6, 6), (5, 6, 1)),       # shared graph over an ensemble
-        ((4, 6, 6), (6, 3)),       # stacked candidates, shared values (scan path)
+        ((4, 6, 6), (6, 3)),       # stacked candidates, shared values (scan kernel)
+        ((16, 48, 48), (16, 48, 1)),  # packed as a whole, dense in small shards
     ]
 
-    @pytest.mark.parametrize("batch_chunk", [1, 2, 3, 7, 100, "dense", "auto"])
-    @pytest.mark.parametrize("receiver_chunk", [1, 2, 4, 100, "dense", "auto"])
-    def test_bitwise_equal_to_dense(self, batch_chunk, receiver_chunk):
+    @staticmethod
+    def _pin(monkeypatch, kernel_name):
+        kernel = getattr(base_module, f"_masked_extremes_{kernel_name}")
+        monkeypatch.setattr(base_module, "_select_kernel", lambda *shape: kernel)
+
+    @staticmethod
+    def _case(rng, adjacency_shape, values_shape):
+        n = adjacency_shape[-1]
+        adjacency = rng.random(adjacency_shape) < 0.4
+        adjacency[..., np.arange(n), np.arange(n)] = True
+        return adjacency, rng.normal(size=values_shape)
+
+    @pytest.mark.parametrize("kernel_name", ["dense", "packed", "scan", None])
+    def test_each_kernel_bitwise_equal_to_dense(self, monkeypatch, kernel_name):
         rng = np.random.default_rng(0)
+        if kernel_name is not None:
+            self._pin(monkeypatch, kernel_name)
         for adjacency_shape, values_shape in self.SHAPES:
-            n = adjacency_shape[-1]
-            adjacency = rng.random(adjacency_shape) < 0.4
-            adjacency[..., np.arange(n), np.arange(n)] = True
-            values = rng.normal(size=values_shape)
+            shared_values = len(values_shape) == 2
+            if (kernel_name == "scan") != shared_values and kernel_name is not None:
+                continue  # the scan kernel is only defined on shared values
+            adjacency, values = self._case(rng, adjacency_shape, values_shape)
             expected_lo = _dense_masked_min(adjacency, values)
             expected_hi = -_dense_masked_min(adjacency, -values)
-            with masked_reduction_chunks(batch=batch_chunk, receivers=receiver_chunk):
-                np.testing.assert_array_equal(masked_min(adjacency, values), expected_lo)
-                np.testing.assert_array_equal(masked_max(adjacency, values), expected_hi)
-                lo, hi = masked_min_max(adjacency, values)
+            np.testing.assert_array_equal(masked_min(adjacency, values), expected_lo)
+            np.testing.assert_array_equal(masked_max(adjacency, values), expected_hi)
+            lo, hi = masked_min_max(adjacency, values)
             np.testing.assert_array_equal(lo, expected_lo)
             np.testing.assert_array_equal(hi, expected_hi)
 
-    def test_chunk_one_and_chunk_larger_than_batch(self):
+    @pytest.mark.parametrize("dense_block", [1, 2, 3, 7, 100, "dense", "auto"])
+    @pytest.mark.parametrize("shard", [1, 2, 4, 100, "dense", "auto"])
+    def test_bitwise_equal_to_dense(self, monkeypatch, dense_block, shard):
+        # Each shard's lead count selects its own kernel, so one stack may run
+        # packed whole and dense in shards (as under the threaded backend);
+        # ``dense_block`` sets the dense kernel's lead block in scenarios
+        # ("dense": one block, "auto": the default budget).  No combination
+        # may change a bit of the whole-stack reference.
+        rng = np.random.default_rng(0)
+        for adjacency_shape, values_shape in self.SHAPES:
+            adjacency, values = self._case(rng, adjacency_shape, values_shape)
+            lead = np.broadcast_shapes(adjacency.shape[:-2], values.shape[:-2])
+            if dense_block != "auto":
+                per_lead0 = int(np.prod(lead[1:])) * adjacency.shape[-1] ** 2 * values.shape[-1]
+                blocks = 10**9 if dense_block == "dense" else dense_block
+                monkeypatch.setattr(base_module, "_DENSE_BLOCK_ELEMENTS", blocks * per_lead0)
+            expected_lo = _dense_masked_min(adjacency, values)
+            expected_hi = -_dense_masked_min(adjacency, -values)
+            shards = _lead_shards(adjacency, values, shard)
+            for reduce, expected in ((masked_min, expected_lo), (masked_max, expected_hi)):
+                got = [reduce(*operands) for operands in shards]
+                np.testing.assert_array_equal(
+                    np.concatenate(got) if lead else got[0], expected
+                )
+            pairs = [masked_min_max(*operands) for operands in shards]
+            for side, expected in enumerate((expected_lo, expected_hi)):
+                got = [pair[side] for pair in pairs]
+                np.testing.assert_array_equal(
+                    np.concatenate(got) if lead else got[0], expected
+                )
+
+    def test_chunk_one_and_chunk_larger_than_batch(self, monkeypatch):
         rng = np.random.default_rng(1)
         batch = 3
         adjacency = rng.random((batch, 5, 5)) < 0.5
         adjacency[..., np.arange(5), np.arange(5)] = True
         values = rng.normal(size=(batch, 5, 4))
         expected = _dense_masked_min(adjacency, values)
-        for chunk in (1, batch + 10):
-            with masked_reduction_chunks(batch=chunk, receivers=chunk):
-                np.testing.assert_array_equal(masked_min(adjacency, values), expected)
+        self._pin(monkeypatch, "dense")
+        for budget in (1, 5 * 5 * 4 * (batch + 10)):
+            monkeypatch.setattr(base_module, "_DENSE_BLOCK_ELEMENTS", budget)
+            np.testing.assert_array_equal(masked_min(adjacency, values), expected)
 
     def test_rows_without_neighbors_fill(self):
         adjacency = np.zeros((2, 3, 3), dtype=bool)  # not even self-loops
@@ -411,30 +487,43 @@ class TestChunkedReductions:
         assert np.all(masked_max(adjacency, values) == -np.inf)
 
     def test_configuration_validation_and_restore(self):
-        with pytest.raises(AlgorithmError):
-            set_masked_reduction_chunks(batch=0)
-        with pytest.raises(AlgorithmError):
-            set_masked_reduction_chunks(receivers="sometimes")
-        before = get_masked_reduction_chunks()
-        with masked_reduction_chunks(batch=2, receivers=3):
-            assert get_masked_reduction_chunks() == {"batch": 2, "receivers": 3}
-        assert get_masked_reduction_chunks() == before
+        # The reduction reads no configuration: the removed chunk and kernel
+        # fields are rejected, and a reduction inside any config scope is
+        # bit-for-bit the one outside, with the scope restored on exit.
+        for field, value in (
+            ("reduction_batch_chunk", 2),
+            ("reduction_receiver_chunk", 3),
+            ("reduction_impl", "dense"),
+        ):
+            with pytest.raises(TypeError):
+                EngineConfig(**{field: value})
+        rng = np.random.default_rng(2)
+        adjacency, values = self._case(rng, (16, 48, 48), (16, 48, 1))
+        outside = masked_min_max(adjacency, values)
+        with EngineConfig(use_fast_path=False, use_packed=False, scenario_chunk=1, threads=2):
+            inside = masked_min_max(adjacency, values)
+        assert current_engine_config() == EngineConfig()
+        for got, want in zip(inside, outside):
+            np.testing.assert_array_equal(got, want)
 
-    def test_executions_identical_across_chunkings(self):
+    def test_executions_identical_across_chunkings(self, monkeypatch):
         values = _values(4, 6, seed=9)
         pattern_graphs = [complete_graph(6), cycle_graph(6)]
         from repro.execution import run_pattern_ensemble
         from repro.models.patterns import PeriodicPattern
 
-        with masked_reduction_chunks(batch="dense", receivers="dense"):
-            dense = run_pattern_ensemble(
+        def run():
+            return run_pattern_ensemble(
                 MidpointAlgorithm(), values, PeriodicPattern(pattern_graphs), 9
-            )
-        with masked_reduction_chunks(batch=1, receivers=2):
-            chunked = run_pattern_ensemble(
-                MidpointAlgorithm(), values, PeriodicPattern(pattern_graphs), 9
-            )
-        np.testing.assert_array_equal(dense.recorded_outputs, chunked.recorded_outputs)
+            ).recorded_outputs
+
+        dispatched = run()
+        for kernel_name in ("dense", "packed"):
+            self._pin(monkeypatch, kernel_name)
+            np.testing.assert_array_equal(run(), dispatched)
+        self._pin(monkeypatch, "dense")
+        monkeypatch.setattr(base_module, "_DENSE_BLOCK_ELEMENTS", 1)  # one-scenario blocks
+        np.testing.assert_array_equal(run(), dispatched)
 
 
 # --------------------------------------------------------------------------- #

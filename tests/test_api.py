@@ -3,16 +3,17 @@
 Three contracts are enforced:
 
 * **Config-route equivalence** — every `Study` configuration (fast path ×
-  reduction impl × chunking × batch on/off) is bit-for-bit identical to the
-  direct engine call it compiles to, executed under the same `EngineConfig`.
+  batch on/off × packed α kernels × valency chunking × threads) is
+  bit-for-bit identical to the direct engine call it compiles to, executed
+  under the same `EngineConfig`.
 * **EngineConfig semantics** — exception-safe restore, nesting (innermost
-  wins), thread-local isolation, and validation errors; the deprecated
-  module-level setters warn exactly once.
+  wins), thread-local isolation, and validation errors.
 * **Shape validation** — mismatched `(B, n, d)` / `(C, n, n)` inputs raise
   `EnsembleShapeError` with named shapes instead of NumPy broadcast errors.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from repro.algorithms import (
 )
 from repro.algorithms import base as algorithms_base
 from repro.algorithms.base import (
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
     masked_min,
     masked_min_max,
 )
@@ -61,27 +60,54 @@ def _ensemble_values(batch, n, d=1, seed=0):
 # --------------------------------------------------------------------------- #
 
 
+def _record_kernel_calls(monkeypatch):
+    """Record which masked-reduction kernel each dispatch runs, from any thread."""
+    calls = []
+    for name in ("packed", "dense"):
+        attribute = f"_masked_extremes_{name}"
+        original = getattr(algorithms_base, attribute)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(algorithms_base, attribute, recording)
+    return calls
+
+
 class TestEngineConfig:
-    def test_applies_and_restores_reduction_settings(self):
-        before_chunks = get_masked_reduction_chunks()
-        before_impl = get_masked_reduction_impl()
-        with EngineConfig(
-            reduction_impl="dense", reduction_batch_chunk=7, reduction_receiver_chunk=3
-        ):
-            assert get_masked_reduction_impl() == "dense"
-            assert get_masked_reduction_chunks() == {"batch": 7, "receivers": 3}
-        assert get_masked_reduction_chunks() == before_chunks
-        assert get_masked_reduction_impl() == before_impl
+    def test_applies_and_restores_reduction_settings(self, monkeypatch):
+        # No config field names a kernel any more; ``threads`` reaches the
+        # reduction only through each shard's lead count.  A (16, 48, 1)
+        # ensemble runs packed as one stack and dense in four 4-scenario
+        # shards, bit-for-bit alike, and leaving the scope restores the
+        # serial dispatch.
+        values = _ensemble_values(16, 48, seed=4)
+        pattern = PeriodicPattern([complete_graph(48), cycle_graph(48)])
+        calls = _record_kernel_calls(monkeypatch)
+
+        def run():
+            del calls[:]
+            outputs = run_pattern_ensemble(MidpointAlgorithm(), values, pattern, 3)
+            return outputs.recorded_outputs, sorted(set(calls)), len(calls)
+
+        with EngineConfig(threads=1):
+            serial, serial_kernels, serial_calls = run()
+            with EngineConfig(threads=4):
+                sharded, sharded_kernels, sharded_calls = run()
+            restored, restored_kernels, _ = run()
+        assert serial_kernels == restored_kernels == ["packed"]
+        assert sharded_kernels == ["dense"]
+        assert sharded_calls == 4 * serial_calls
+        np.testing.assert_array_equal(sharded, serial)
+        np.testing.assert_array_equal(restored, serial)
 
     def test_restores_on_exception(self):
-        before_chunks = get_masked_reduction_chunks()
-        before_impl = get_masked_reduction_impl()
         with pytest.raises(RuntimeError):
-            with EngineConfig(reduction_impl="packed", reduction_batch_chunk=2):
-                assert get_masked_reduction_impl() == "packed"
+            with EngineConfig(use_batch=False, scenario_chunk=2):
+                assert current_engine_config().scenario_chunk == 2
                 raise RuntimeError("boom")
-        assert get_masked_reduction_chunks() == before_chunks
-        assert get_masked_reduction_impl() == before_impl
+        assert current_engine_config() == EngineConfig()
 
     def test_nesting_innermost_wins(self):
         with EngineConfig(use_fast_path=False, use_batch=False):
@@ -95,9 +121,9 @@ class TestEngineConfig:
 
     def test_shared_instance_across_threads_restores_correctly(self):
         # One EngineConfig object entered concurrently from two threads must
-        # restore each thread's own reduction snapshot (the saved state lives
-        # in the thread-local stack, not on the shared instance).
-        shared = EngineConfig(reduction_batch_chunk=5)
+        # pop each thread's own activation (the stack is thread-local, not
+        # state on the shared instance).
+        shared = EngineConfig(scenario_chunk=5)
         inside = threading.Event()
         release = threading.Event()
         observed = {}
@@ -106,21 +132,21 @@ class TestEngineConfig:
             with shared:
                 inside.set()
                 release.wait(timeout=5)
-            observed["holder_after"] = get_masked_reduction_chunks()["batch"]
+            observed["holder_after"] = current_engine_config().scenario_chunk
 
         thread = threading.Thread(target=holder)
         thread.start()
         inside.wait(timeout=5)
-        with EngineConfig(reduction_batch_chunk=3):
+        with EngineConfig(scenario_chunk=3):
             with shared:
-                assert get_masked_reduction_chunks()["batch"] == 5
+                assert current_engine_config().scenario_chunk == 5
             # Exiting the shared instance here must restore THIS thread's
-            # outer value, not the holder thread's snapshot.
-            assert get_masked_reduction_chunks()["batch"] == 3
+            # outer value, not the holder thread's.
+            assert current_engine_config().scenario_chunk == 3
         release.set()
         thread.join()
-        assert observed["holder_after"] == "auto"
-        assert get_masked_reduction_chunks()["batch"] == "auto"
+        assert observed["holder_after"] is None
+        assert current_engine_config().scenario_chunk is None
 
     def test_thread_local_isolation(self):
         seen = {}
@@ -128,22 +154,18 @@ class TestEngineConfig:
         def worker():
             # The main thread's active config must not leak into this thread.
             seen["config"] = current_engine_config().use_fast_path
-            seen["impl"] = get_masked_reduction_impl()
 
-        with EngineConfig(use_fast_path=False, reduction_impl="dense"):
+        with EngineConfig(use_fast_path=False):
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
         assert seen["config"] is None
-        assert seen["impl"] == "auto"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             EngineConfig(use_fast_path="yes")
-        with pytest.raises(ConfigError):
-            EngineConfig(reduction_impl="sparse")
-        with pytest.raises(ConfigError):
-            EngineConfig(reduction_batch_chunk=0)
+        with pytest.raises(TypeError):
+            EngineConfig(reduction_impl="dense")  # removed: kernels follow the shape
         with pytest.raises(ConfigError):
             EngineConfig(scenario_chunk=-1)
 
@@ -163,64 +185,6 @@ class TestEngineConfig:
         assert estimator._batchable()
 
 
-class TestDeprecationShims:
-    def _reset(self, *names):
-        for name in names:
-            algorithms_base._DEPRECATION_WARNED.discard(name)
-
-    @staticmethod
-    def _deprecations_emitted(callable_):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            callable_()
-        return [w for w in record if issubclass(w.category, DeprecationWarning)]
-
-    def test_set_chunks_warns_exactly_once(self):
-        self._reset("set_masked_reduction_chunks")
-        try:
-            first = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_chunks(batch=4)
-            )
-            assert len(first) == 1
-            second = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_chunks(batch=8)
-            )
-            assert second == []
-        finally:
-            algorithms_base._apply_masked_reduction_chunks()
-
-    def test_set_impl_warns_exactly_once(self):
-        self._reset("set_masked_reduction_impl")
-        try:
-            first = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_impl("dense")
-            )
-            assert len(first) == 1
-            second = self._deprecations_emitted(
-                lambda: algorithms_base.set_masked_reduction_impl("auto")
-            )
-            assert second == []
-        finally:
-            algorithms_base._apply_masked_reduction_impl()
-
-    def test_context_managers_do_not_warn(self):
-        from repro.algorithms.base import masked_reduction_chunks, masked_reduction_impl
-
-        self._reset("set_masked_reduction_chunks", "set_masked_reduction_impl")
-
-        def exercise():
-            with masked_reduction_chunks(batch=4):
-                pass
-            with masked_reduction_impl("dense"):
-                pass
-            with EngineConfig(reduction_impl="dense", reduction_batch_chunk=2):
-                pass
-
-        assert self._deprecations_emitted(exercise) == []
-
-
 # --------------------------------------------------------------------------- #
 # Config-route equivalence matrix
 # --------------------------------------------------------------------------- #
@@ -230,26 +194,18 @@ CONFIG_MATRIX = [
     EngineConfig(),
     EngineConfig(use_fast_path=True),
     EngineConfig(use_fast_path=False),
-    EngineConfig(reduction_impl="dense"),
-    EngineConfig(reduction_impl="packed"),
-    EngineConfig(reduction_batch_chunk=2, reduction_receiver_chunk=3),
-    EngineConfig(use_fast_path=True, reduction_impl="packed", reduction_batch_chunk=1),
+    EngineConfig(use_packed=False),
+    EngineConfig(scenario_chunk=2),
+    EngineConfig(threads=2),
+    EngineConfig(use_fast_path=True, use_packed=False, scenario_chunk=1),
     EngineConfig(use_batch=False),
     EngineConfig(use_batch=True),
-    EngineConfig(use_batch=False, use_fast_path=False, reduction_impl="dense"),
+    EngineConfig(use_batch=False, use_fast_path=False, threads=2),
 ]
 
 
 def _config_copy(config):
-    return EngineConfig(
-        use_fast_path=config.use_fast_path,
-        use_batch=config.use_batch,
-        use_packed=config.use_packed,
-        reduction_impl=config.reduction_impl,
-        reduction_batch_chunk=config.reduction_batch_chunk,
-        reduction_receiver_chunk=config.reduction_receiver_chunk,
-        scenario_chunk=config.scenario_chunk,
-    )
+    return replace(config)
 
 
 class TestStudyRouteEquivalence:

@@ -2,10 +2,8 @@
 
 ``EngineConfig`` promises: the innermost active block wins field-by-field,
 previous values are restored on exit even when the body raises, and the
-active stack plus the masked-reduction settings are *thread-local* — two
-threads running under different configurations never observe each other's
-overrides.  The module-level reduction setters are deprecated shims whose
-``DeprecationWarning`` fires exactly once per process.
+active stack is *thread-local* — two threads running under different
+configurations never observe each other's overrides.
 
 The ``threads`` field adds a lifecycle promise on top: the parallel
 backend's worker pool is created lazily on the thread-local stack entry,
@@ -15,21 +13,14 @@ between concurrent activations — 100 enter/exit cycles leave no stray
 """
 
 import threading
-import warnings
 
 import pytest
 
-from repro.algorithms.base import (
-    _DEPRECATION_WARNED,
-    get_masked_reduction_chunks,
-    get_masked_reduction_impl,
-    set_masked_reduction_chunks,
-    set_masked_reduction_impl,
-)
 from repro.config import (
     EngineConfig,
     current_engine_config,
     resolve_scenario_chunk,
+    resolve_threads,
     resolve_use_batch,
     resolve_use_fast_path,
     resolve_use_packed,
@@ -50,22 +41,52 @@ class TestNesting:
         assert resolve_scenario_chunk(None) == 4096
 
     def test_merged_view_reflects_nesting(self):
-        with EngineConfig(use_fast_path=False, reduction_impl="dense"):
+        with EngineConfig(use_fast_path=False, use_packed=False):
             with EngineConfig(use_fast_path=True):
                 merged = current_engine_config()
                 assert merged.use_fast_path is True
-                assert merged.reduction_impl == "dense"
+                assert merged.use_packed is False
 
-    def test_reduction_fields_apply_and_restore_on_raise(self):
-        before_impl = get_masked_reduction_impl()
-        before_chunks = get_masked_reduction_chunks()
-        with pytest.raises(RuntimeError):
-            with EngineConfig(reduction_impl="packed", reduction_batch_chunk=7):
-                assert get_masked_reduction_impl() == "packed"
-                assert get_masked_reduction_chunks()["batch"] == 7
-                raise RuntimeError("boom")
-        assert get_masked_reduction_impl() == before_impl
-        assert get_masked_reduction_chunks() == before_chunks
+    def test_reduction_fields_apply_and_restore_on_raise(self, monkeypatch):
+        # ``threads`` is the field that reaches the masked reduction, through
+        # each shard's lead count: (16, 48, 1) runs packed as one stack and
+        # dense in 4-scenario shards.  The innermost block wins and a raise
+        # inside it restores the outer dispatch.
+        import numpy as np
+
+        import repro.algorithms.base as base_module
+        from repro.algorithms import MidpointAlgorithm
+        from repro.execution import run_ensemble
+        from repro.graphs.families import complete_graph, cycle_graph
+
+        values = np.random.default_rng(0).uniform(0.0, 1.0, size=(16, 48, 1))
+        graphs = [complete_graph(48), cycle_graph(48)]
+
+        calls = []
+        for name in ("packed", "dense"):
+            original = getattr(base_module, f"_masked_extremes_{name}")
+
+            def recording(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(base_module, f"_masked_extremes_{name}", recording)
+
+        def kernels_run():
+            del calls[:]
+            run_ensemble(MidpointAlgorithm(), values, graphs)
+            return set(calls)
+
+        with EngineConfig(threads=4):
+            assert kernels_run() == {"dense"}
+            with pytest.raises(RuntimeError):
+                with EngineConfig(threads=1):
+                    assert kernels_run() == {"packed"}
+                    raise RuntimeError("boom")
+            assert resolve_threads(None) == 4
+            assert kernels_run() == {"dense"}
+        with EngineConfig(threads=1):
+            assert kernels_run() == {"packed"}
 
     def test_explicit_argument_beats_active_config(self):
         with EngineConfig(use_batch=False, use_packed=False):
@@ -80,43 +101,43 @@ class TestThreadLocality:
         observed = {}
         errors = []
 
-        def worker(name, use_batch, impl, chunk):
+        def worker(name, use_batch, use_packed, chunk):
             try:
                 with EngineConfig(
-                    use_batch=use_batch, reduction_impl=impl, scenario_chunk=chunk
+                    use_batch=use_batch, use_packed=use_packed, scenario_chunk=chunk
                 ):
                     barrier.wait(timeout=10)  # both threads inside their blocks
                     observed[name] = (
                         resolve_use_batch(None),
-                        get_masked_reduction_impl(),
+                        resolve_use_packed(None),
                         resolve_scenario_chunk(None),
                     )
                     barrier.wait(timeout=10)  # hold until both observed
                 observed[name + "-after"] = (
                     resolve_use_batch(None),
-                    get_masked_reduction_impl(),
+                    resolve_use_packed(None),
                 )
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=worker, args=("a", False, "dense", 64)),
-            threading.Thread(target=worker, args=("b", True, "packed", 256)),
+            threading.Thread(target=worker, args=("a", False, False, 64)),
+            threading.Thread(target=worker, args=("b", True, True, 256)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert observed["a"] == (False, "dense", 64)
-        assert observed["b"] == (True, "packed", 256)
-        assert observed["a-after"] == (True, "auto")
-        assert observed["b-after"] == (True, "auto")
+        assert observed["a"] == (False, False, 64)
+        assert observed["b"] == (True, True, 256)
+        assert observed["a-after"] == (True, True)
+        assert observed["b-after"] == (True, True)
 
     def test_one_shared_config_entered_from_two_threads(self):
         # One EngineConfig *instance* entered concurrently must keep each
-        # thread's reduction snapshot separate (the stack entry holds it).
-        shared = EngineConfig(reduction_impl="packed")
+        # thread's activation separate (each thread pops its own stack entry).
+        shared = EngineConfig(scenario_chunk=7)
         barrier = threading.Barrier(2)
         results = {}
         errors = []
@@ -125,9 +146,9 @@ class TestThreadLocality:
             try:
                 with shared:
                     barrier.wait(timeout=10)
-                    results[name] = get_masked_reduction_impl()
+                    results[name] = resolve_scenario_chunk(None)
                     barrier.wait(timeout=10)
-                results[name + "-after"] = get_masked_reduction_impl()
+                results[name + "-after"] = resolve_scenario_chunk(None)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -137,27 +158,8 @@ class TestThreadLocality:
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert results["a"] == results["b"] == "packed"
-        assert results["a-after"] == results["b-after"] == "auto"
-
-    def test_deprecated_setters_are_thread_local_too(self):
-        done = threading.Event()
-        observed = {}
-
-        def worker():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                set_masked_reduction_impl("dense")
-            observed["inner"] = get_masked_reduction_impl()
-            done.set()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=30)
-        assert done.is_set()
-        assert observed["inner"] == "dense"
-        # The mutation never leaks into this thread.
-        assert get_masked_reduction_impl() == "auto"
+        assert results["a"] == results["b"] == 7
+        assert results["a-after"] == results["b-after"] == 4096
 
 
 class TestWorkerPoolLifecycle:
@@ -203,7 +205,7 @@ class TestWorkerPoolLifecycle:
         ]
 
     def test_concurrent_thread_scopes_do_not_leak_pool_sizes(self):
-        from repro.config import _ACTIVE_CONFIGS, resolve_threads
+        from repro.config import _ACTIVE_CONFIGS
 
         ambient = resolve_threads(None)  # env default (e.g. REPRO_THREADS in CI)
         barrier = threading.Barrier(2)
@@ -281,8 +283,6 @@ class TestWorkerPoolLifecycle:
         assert threading.active_count() <= baseline
 
     def test_nested_scopes_innermost_thread_count_wins(self):
-        from repro.config import resolve_threads
-
         ambient = resolve_threads(None)  # env default (e.g. REPRO_THREADS in CI)
         with EngineConfig(threads=2):
             assert resolve_threads(None) == 2
@@ -291,54 +291,3 @@ class TestWorkerPoolLifecycle:
                 self._run_sharded()
             assert resolve_threads(None) == 2
         assert resolve_threads(None) == ambient
-
-
-class TestOneTimeDeprecationWarnings:
-    @pytest.fixture(autouse=True)
-    def _isolate_warned_registry(self):
-        saved = set(_DEPRECATION_WARNED)
-        _DEPRECATION_WARNED.clear()
-        try:
-            yield
-        finally:
-            _DEPRECATION_WARNED.clear()
-            _DEPRECATION_WARNED.update(saved)
-            # Restore library defaults the setters may have touched.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                set_masked_reduction_impl("auto")
-                set_masked_reduction_chunks()
-
-    def test_impl_setter_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_impl("dense")
-            set_masked_reduction_impl("auto")
-            set_masked_reduction_impl("packed")
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "set_masked_reduction_impl" in str(deprecations[0].message)
-        assert "EngineConfig" in str(deprecations[0].message)
-
-    def test_chunks_setter_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_chunks(batch=4)
-            set_masked_reduction_chunks(batch=8, receivers=16)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "set_masked_reduction_chunks" in str(deprecations[0].message)
-
-    def test_setters_warn_independently(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            set_masked_reduction_impl("dense")
-            set_masked_reduction_chunks(batch=4)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-
-    def test_setter_still_applies_after_warning_suppressed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            set_masked_reduction_impl("dense")
-        assert get_masked_reduction_impl() == "dense"

@@ -1,7 +1,7 @@
 """Differential scenario fuzzing: generated cases, not hand-enumerated ones.
 
-Four engines and three toggle dimensions (``use_fast_path`` / ``use_batch`` /
-``use_packed``-style reduction impls) all promise bit-for-bit (or, for the
+Four engines, two toggle dimensions (``use_fast_path`` / ``use_batch``) and
+the masked-reduction kernels all promise bit-for-bit (or, for the
 summation-order-sensitive averaging rules, last-ulp) equivalence.  Rather
 than enumerating cases by hand, a seeded generator draws random scenarios —
 graphs, graph sequences, adversary patterns, and algorithm/knob combinations
@@ -12,7 +12,8 @@ from a registry — and differentially checks
   ``use_batch`` on/off, plus per-scenario state snapshots),
 * **adversarial batch vs loop** (``run_adversarial_ensemble`` vs per-scenario
   adversary runs, choices and outputs),
-* **packed vs dense** masked reductions,
+* **packed vs dense** masked-reduction kernels (and sort-and-scan on shared
+  values), NaN-bearing values included — compared on the raw bits,
 * **facade vs direct** (``Study`` vs the engine call it compiles to),
 * **faulted batch vs loop** (the vectorized fault-mask path vs the
   per-scenario reference loop under randomized ``FaultPlan``s, including
@@ -24,7 +25,7 @@ from a registry — and differentially checks
   shards the B axis without changing a single byte, faulted runs included),
 * **fused vs separate reductions** (``masked_extreme_pair`` /
   ``masked_min_max`` against independent ``masked_min`` + ``masked_max``
-  calls under every reduction implementation),
+  calls, through the shape dispatch and through each general kernel),
 
 each over ``CASES_PER_PAIR`` (200+) generated cases under one fixed master
 seed.  Everything is deterministic — cases derive from
@@ -42,11 +43,14 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import (
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _masked_extremes_scan,
+    _reduction_operands,
     masked_extreme_pair,
     masked_max,
     masked_min,
     masked_min_max,
-    masked_reduction_impl,
 )
 from repro.api import Study
 from repro.asynchrony import AsynchronousSimulator, RoundBasedAsyncAlgorithm
@@ -268,33 +272,62 @@ def _case_adversarial_batch_vs_loop(case_seed):
         )
 
 
-def _case_packed_vs_dense(case_seed):
-    rng = _case_rng(case_seed)
+def _reduction_case(rng):
+    """Random masked-reduction operands: ``(adjacency, values, n, d, lead)``.
+
+    About a third of the cases broadcast one registered graph's adjacency
+    over the value ensemble (exercising the bitset-resident
+    CommunicationGraph cache); a third of the value tensors carry NaNs of
+    both signs (``nan`` and ``-nan``), sometimes a whole scenario of them.
+    """
     n = int(rng.integers(2, 48))
     d = int(rng.integers(1, 4))
     lead = int(rng.integers(1, 7))
     values = rng.uniform(-3.0, 3.0, size=(lead, n, d))
     if rng.random() < 0.3:
-        # Shared registered graph adjacency broadcast over the value ensemble
-        # (exercises the bitset-resident CommunicationGraph cache).
         adjacency = random_graph(n, rng, float(rng.uniform(0.1, 0.9))).adjacency
     else:
-        adjacency = rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)
-        adjacency = adjacency.copy()
+        adjacency = (rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)).copy()
         for i in range(n):
             adjacency[..., i, i] = bool(rng.random() < 0.9)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
-    for label, got, want in (
-        ("masked min", lo_packed, lo_dense),
-        ("masked max", hi_packed, hi_dense),
-    ):
-        assert np.array_equal(got, want), (
-            f"{label} differs between packed and dense reductions "
-            f"(n={n}, d={d}, lead={lead})" + _repro_snippet("packed_vs_dense", case_seed)
-        )
+    if rng.random() < 0.3:
+        hit = rng.random(values.shape) < rng.choice([0.02, 0.2, 1.0])
+        negative = rng.random(values.shape) < 0.5
+        values[hit & negative] = -np.nan
+        values[hit & ~negative] = np.nan
+    return adjacency, values, n, d, lead
+
+
+def _same_bits(got, want):
+    """Bit-level equality: also pins the sign and payload of every NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def _case_packed_vs_dense(case_seed):
+    rng = _case_rng(case_seed)
+    adjacency, values, n, d, lead = _reduction_case(rng)
+    kernels = {"packed": (_masked_extremes_packed, values)}
+    if np.ndim(adjacency) == 3:
+        # One value matrix shared by the whole mask stack: the sort-and-scan
+        # kernel's regime, checked against dense on the same operands.
+        kernels["scan"] = (_masked_extremes_scan, values[:1])
+    for name, (kernel, operand) in kernels.items():
+        operands = _reduction_operands(adjacency, operand, operand)
+        lo_dense, hi_dense = _masked_extremes_dense(*operands)
+        lo_kernel, hi_kernel = kernel(*operands)
+        for label, got, want in (
+            ("masked min", lo_kernel, lo_dense),
+            ("masked max", hi_kernel, hi_dense),
+        ):
+            assert _same_bits(got, want), (
+                f"{label} differs between the {name} and dense kernels "
+                f"(n={n}, d={d}, lead={lead})" + _repro_snippet("packed_vs_dense", case_seed)
+            )
 
 
 def _case_facade_vs_direct(case_seed):
@@ -593,34 +626,36 @@ def _case_parallel_vs_serial(case_seed):
 def _case_fused_vs_separate_reduction(case_seed):
     """One fused mask resolution must equal two independent reductions."""
     rng = _case_rng(case_seed)
-    n = int(rng.integers(2, 48))
-    d = int(rng.integers(1, 4))
-    lead = int(rng.integers(1, 7))
-    min_values = rng.uniform(-3.0, 3.0, size=(lead, n, d))
+    adjacency, min_values, n, d, lead = _reduction_case(rng)
     shared = bool(rng.random() < 0.4)
     max_values = min_values if shared else rng.uniform(-3.0, 3.0, size=(lead, n, d))
-    if rng.random() < 0.3:
-        adjacency = random_graph(n, rng, float(rng.uniform(0.1, 0.9))).adjacency
-    else:
-        adjacency = (rng.random((lead, n, n)) < rng.uniform(0.1, 0.9)).copy()
-        for i in range(n):
-            adjacency[..., i, i] = bool(rng.random() < 0.9)
     impl = ("auto", "dense", "packed")[int(rng.integers(3))]
-    with masked_reduction_impl(impl):
-        fused_min, fused_max = masked_extreme_pair(adjacency, min_values, max_values)
+    if impl == "auto":
+        # The public functions, through the shape dispatch.
+        fused = lambda lo, hi: masked_extreme_pair(adjacency, lo, hi)  # noqa: E731
         separate_min = masked_min(adjacency, min_values)
         separate_max = masked_max(adjacency, max_values)
-        if shared:
-            pair_min, pair_max = masked_min_max(adjacency, min_values)
-        else:
-            pair_min, pair_max = fused_min, fused_max
+    else:
+        kernel = _masked_extremes_dense if impl == "dense" else _masked_extremes_packed
+        fused = lambda lo, hi: kernel(*_reduction_operands(adjacency, lo, hi))  # noqa: E731
+        separate_min = fused(min_values, None)[0]
+        separate_max = fused(None, max_values)[1]
+    fused_min, fused_max = fused(min_values, max_values)
+    if shared:
+        pair_min, pair_max = (
+            masked_min_max(adjacency, min_values)
+            if impl == "auto"
+            else fused(min_values, min_values)
+        )
+    else:
+        pair_min, pair_max = fused_min, fused_max
     for label, got, want in (
         ("fused min", fused_min, separate_min),
         ("fused max", fused_max, separate_max),
         ("min_max min", pair_min, separate_min),
         ("min_max max", pair_max, separate_max),
     ):
-        assert np.array_equal(got, want), (
+        assert _same_bits(got, want), (
             f"{label} differs between the fused and separate reductions "
             f"(impl={impl}, shared={shared}, n={n}, d={d}, lead={lead})"
             + _repro_snippet("fused_vs_separate_reduction", case_seed)

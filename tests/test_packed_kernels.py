@@ -3,22 +3,27 @@
 Every packed/stacked kernel must agree exactly with its per-graph reference:
 products over random graph stacks, reachability/roots/rootedness/non-split
 over stacks, the α relation matrix against per-pair ``alpha_related`` calls,
-α/β classes and the α-diameter against the per-pair reference path, and the
-packed masked reductions against the dense path bit-for-bit.
+α/β classes and the α-diameter against the per-pair reference path, the
+packed masked-reduction kernel against the dense kernel bit-for-bit (NaN
+payloads included), and the shape rule that picks between them.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.algorithms.base as base_module
 from repro.algorithms.base import (
+    _masked_extremes_dense,
+    _masked_extremes_packed,
+    _reduction_operands,
     masked_min,
     masked_min_max,
-    masked_reduction_impl,
-    set_masked_reduction_impl,
 )
-from repro.exceptions import AlgorithmError, GraphError
+from repro.exceptions import GraphError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import complete_graph, deaf_family, psi_family, two_agent_graphs
 from repro.graphs.generators import random_graph, random_nonsplit_graph, random_rooted_graph
@@ -52,6 +57,19 @@ from repro.graphs.relations import (
     beta_classes,
 )
 from repro.types import pack_bool_rows, packed_first_true, packed_last_true, packed_row_ids
+
+
+def _dense(adjacency, values):
+    return _masked_extremes_dense(*_reduction_operands(adjacency, values, values))
+
+
+def _packed(adjacency, values):
+    return _masked_extremes_packed(*_reduction_operands(adjacency, values, values))
+
+
+def _bits(array):
+    """The raw float64 bits: equality on these also pins NaN signs and payloads."""
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
 
 
 def _random_stack(n, count, seed, probability=0.4):
@@ -246,10 +264,8 @@ def test_packed_masked_reduction_matches_dense(shape):
     adjacency = rng.random((*lead, n, n)) < 0.3
     diag = np.arange(n)
     adjacency[..., diag, diag] = True
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense(adjacency, values)
+    lo_packed, hi_packed = _packed(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
@@ -259,47 +275,132 @@ def test_packed_masked_reduction_handles_empty_in_neighborhoods():
     adjacency = np.zeros((4, 10, 10), dtype=bool)
     adjacency[:, 2, :] = True  # only agent 2 sends; most receivers hear one sender
     values = rng.normal(size=(4, 10, 1))
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense(adjacency, values)
+    lo_packed, hi_packed = _packed(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
 
 def test_packed_masked_reduction_nan_values_fall_back_to_dense():
-    values = np.array([[[0.0], [np.nan], [2.0]]])
-    adjacency = np.ones((1, 3, 3), dtype=bool)
-    with masked_reduction_impl("packed"):
-        lo = masked_min(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense = masked_min(adjacency, values)
-    assert np.array_equal(np.isnan(lo), np.isnan(lo_dense))
+    # (8, 256, 1) sits above the crossover, so the dispatch runs the packed
+    # kernel even on NaN inputs; a receiver hearing a NaN must get the very
+    # NaN the dense kernel propagates (the first one in sender order), sign
+    # and payload included.
+    rng = np.random.default_rng(16)
+    values = rng.normal(size=(8, 256, 1))
+    nan_at = rng.random(values.shape) < 0.01
+    negative = rng.random(values.shape) < 0.5
+    values[nan_at & negative] = -np.nan
+    values[nan_at & ~negative] = np.nan
+    values[3] = np.nan  # one all-NaN scenario
+    values[5, :, 0] = -np.nan
+    values[5, 7:9, 0] = [1.5, np.nan]  # mixed payloads in one scenario
+    assert np.signbit(values[np.isnan(values)]).any()
+    adjacency = rng.random((8, 256, 256)) < 0.05
+    adjacency[:, np.arange(256), np.arange(256)] = True
+    adjacency[6] = False  # receivers without in-neighbors keep the sentinels
+    lo_dense, hi_dense = _dense(adjacency, values)
+    assert np.isnan(lo_dense).any() and not np.isnan(lo_dense).all()
+    for lo, hi in (_packed(adjacency, values), masked_min_max(adjacency, values)):
+        assert np.array_equal(_bits(lo), _bits(lo_dense))
+        assert np.array_equal(_bits(hi), _bits(hi_dense))
+    assert np.array_equal(_bits(masked_min(adjacency, values)), _bits(lo_dense))
 
 
-def test_packed_masked_reduction_auto_fires_on_large_stacks():
-    # Above the auto threshold the packed path must still be bit-for-bit.
+def test_packed_masked_reduction_auto_fires_on_large_stacks(monkeypatch):
+    # Above the crossover the dispatch runs packed, still bit-for-bit.
     rng = np.random.default_rng(8)
     values = rng.normal(size=(48, 160, 1))
     adjacency = rng.random((48, 160, 160)) < 0.1
     diag = np.arange(160)
     adjacency[:, diag, diag] = True
-    with masked_reduction_impl("auto"):
-        lo_auto, hi_auto = masked_min_max(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
+    lo_dense, hi_dense = _dense(adjacency, values)
+    calls = _count_kernel_calls(monkeypatch)
+    lo_auto, hi_auto = masked_min_max(adjacency, values)
+    assert calls == {"packed": 1, "dense": 0}
     assert np.array_equal(lo_auto, lo_dense)
     assert np.array_equal(hi_auto, hi_dense)
 
 
-def test_masked_reduction_impl_validation_and_restore():
-    with pytest.raises(AlgorithmError):
-        set_masked_reduction_impl("bogus")
-    with masked_reduction_impl("packed"):
-        pass  # restored on exit
-    values = np.zeros((2, 3, 1))
-    adjacency = np.ones((2, 3, 3), dtype=bool)
-    assert masked_min(adjacency, values).shape == (2, 3, 1)
+# --------------------------------------------------------------------------- #
+# Shape-selected kernel dispatch
+# --------------------------------------------------------------------------- #
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count dispatches into the packed and dense kernels (module globals)."""
+    calls = {"packed": 0, "dense": 0}
+    for name, attribute in (
+        ("packed", "_masked_extremes_packed"),
+        ("dense", "_masked_extremes_dense"),
+    ):
+        original = getattr(base_module, attribute)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(base_module, attribute, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape,kernel",
+    [
+        ((64, 64, 1), "packed"),  # the faulted-ensemble round
+        ((16, 32, 1), "dense"),  # one service-journal shard
+        ((8, 6, 1), "dense"),  # a Table 1 certification call
+    ],
+    ids=["64x64x1", "16x32x1", "8x6x1"],
+)
+def test_dispatch_selects_kernel_by_shape(monkeypatch, shape, kernel):
+    batch, n, d = shape
+    rng = np.random.default_rng(batch + n + d)
+    values = rng.uniform(-1.0, 1.0, size=shape)
+    adjacency = rng.random((batch, n, n)) < 0.5
+    calls = _count_kernel_calls(monkeypatch)
+    masked_min_max(adjacency, values)
+    assert calls == {name: int(name == kernel) for name in ("packed", "dense")}
+
+
+def test_dispatch_ignores_values(monkeypatch):
+    # NaNs do not reroute a call: the choice is a function of the shape only.
+    values = np.random.default_rng(17).uniform(size=(64, 64, 1))
+    adjacency = np.ones((64, 64, 64), dtype=bool)
+    calls = _count_kernel_calls(monkeypatch)
+    masked_min_max(adjacency, values)
+    values[::2, 3] = np.nan
+    masked_min_max(adjacency, values)
+    assert calls == {"packed": 2, "dense": 0}
+
+
+def test_dispatch_peak_memory_at_b64_n256():
+    # The retired chunked dense kernel peaked at 8.7 MB on this shape.
+    rng = np.random.default_rng(18)
+    values = rng.uniform(-1.0, 1.0, size=(64, 256, 1))
+    adjacency = rng.random((64, 256, 256)) < 0.5
+    masked_min_max(adjacency, values)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        masked_min_max(adjacency, values)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.7e6
+
+
+def test_dense_lead_blocks_are_bit_for_bit(monkeypatch):
+    # The dense kernel's fixed-budget loop over the lead axis must not change
+    # a bit, for one-scenario blocks and for blocks wider than the stack.
+    rng = np.random.default_rng(19)
+    values = rng.normal(size=(5, 1, 9, 2))
+    adjacency = rng.random((3, 9, 9)) < 0.4  # a candidate axis crossed with scenarios
+    unblocked = _dense(adjacency, values)
+    for budget in (1, 9 * 9 * 2 * 3, 10**9):
+        monkeypatch.setattr(base_module, "_DENSE_BLOCK_ELEMENTS", budget)
+        for got, want in zip(_dense(adjacency, values), unblocked):
+            assert got.shape == (5, 3, 9, 2)
+            assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------------- #
@@ -369,10 +470,8 @@ def test_packed_gather_on_graph_adjacency_bit_for_bit():
         lead = int(rng.integers(2, 8))
         graph = random_graph(n, rng, float(rng.uniform(0.1, 0.9)))
         values = rng.uniform(-4.0, 4.0, size=(lead, n, d))
-        with masked_reduction_impl("dense"):
-            lo_dense, hi_dense = masked_min_max(graph.adjacency, values)
-        with masked_reduction_impl("packed"):
-            lo_packed, hi_packed = masked_min_max(graph.adjacency, values)
+        lo_dense, hi_dense = _dense(graph.adjacency, values)
+        lo_packed, hi_packed = _packed(graph.adjacency, values)
         assert np.array_equal(lo_dense, lo_packed), trial
         assert np.array_equal(hi_dense, hi_packed), trial
 
@@ -384,10 +483,8 @@ def test_packed_gather_on_memoized_stacks_matches_dense():
     graphs = tuple(random_graph(24, rng, 0.3) for _ in range(5))
     stacked = _AdjacencyCache().stacked(graphs)
     values = rng.uniform(-1.0, 1.0, size=(5, 24, 2))
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(stacked, values)
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(stacked, values)
+    lo_dense, hi_dense = _dense(stacked, values)
+    lo_packed, hi_packed = _packed(stacked, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
 
@@ -398,10 +495,8 @@ def test_packed_gather_handles_isolated_receivers():
     values = np.array([[[0.5], [1.5], [-2.0]], [[3.0], [0.0], [1.0]]])
     adjacency = np.zeros((2, 3, 3), dtype=bool)
     adjacency[0, 0, 1] = True  # 1 hears 0 in scenario 0; everyone else deaf
-    with masked_reduction_impl("packed"):
-        lo_packed, hi_packed = masked_min_max(adjacency, values)
-    with masked_reduction_impl("dense"):
-        lo_dense, hi_dense = masked_min_max(adjacency, values)
+    lo_packed, hi_packed = _packed(adjacency, values)
+    lo_dense, hi_dense = _dense(adjacency, values)
     assert np.array_equal(lo_dense, lo_packed)
     assert np.array_equal(hi_dense, hi_packed)
     assert lo_packed[0, 0, 0] == np.inf and hi_packed[0, 0, 0] == -np.inf
@@ -411,11 +506,18 @@ class TestFusedMaskResolutionCount:
     """Callers wanting both extremes must pay for one mask resolution, not two.
 
     ``masked_min_max`` / ``masked_extreme_pair`` fuse the min and max
-    reductions over a single :func:`receive_mask` call on every
-    implementation (dense, chunked, sort-and-scan, packed); the amortized
-    midpoint's vectorized transition rides that kernel, so each round
-    resolves its adjacency exactly once.
+    reductions over a single :func:`receive_mask` call on every kernel
+    (dense, sort-and-scan, packed); the amortized midpoint's vectorized
+    transition rides that kernel, so each round resolves its adjacency
+    exactly once.  ``"auto"`` leaves the shape rule in charge; the other
+    parameters pin the dispatch to one kernel.
     """
+
+    @staticmethod
+    def _pin_kernel(monkeypatch, impl):
+        if impl != "auto":
+            kernel = getattr(base_module, f"_masked_extremes_{impl}")
+            monkeypatch.setattr(base_module, "_select_kernel", lambda *shape: kernel)
 
     @pytest.fixture()
     def count_mask_resolutions(self, monkeypatch):
@@ -432,12 +534,12 @@ class TestFusedMaskResolutionCount:
         return counter
 
     @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
-    def test_masked_min_max_resolves_once(self, count_mask_resolutions, impl):
+    def test_masked_min_max_resolves_once(self, monkeypatch, count_mask_resolutions, impl):
         rng = np.random.default_rng(40)
         values = rng.uniform(-1.0, 1.0, size=(3, 8, 2))
         adjacency = rng.random((3, 8, 8)) < 0.5
-        with masked_reduction_impl(impl):
-            lo, hi = masked_min_max(adjacency, values)
+        self._pin_kernel(monkeypatch, impl)
+        lo, hi = masked_min_max(adjacency, values)
         assert count_mask_resolutions["calls"] == 1
         # Sanity: still equal to two separate (twice-resolving) reductions.
         assert np.array_equal(lo, masked_min(adjacency, values))
@@ -448,7 +550,7 @@ class TestFusedMaskResolutionCount:
 
     @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
     def test_extreme_pair_on_distinct_tensors_resolves_once(
-        self, count_mask_resolutions, impl
+        self, monkeypatch, count_mask_resolutions, impl
     ):
         from repro.algorithms.base import masked_extreme_pair
 
@@ -456,8 +558,8 @@ class TestFusedMaskResolutionCount:
         mins = rng.uniform(-1.0, 1.0, size=(2, 10, 1))
         maxs = rng.uniform(-1.0, 1.0, size=(2, 10, 1))
         adjacency = rng.random((2, 10, 10)) < 0.4
-        with masked_reduction_impl(impl):
-            masked_extreme_pair(adjacency, mins, maxs)
+        self._pin_kernel(monkeypatch, impl)
+        masked_extreme_pair(adjacency, mins, maxs)
         assert count_mask_resolutions["calls"] == 1
 
     def test_amortized_midpoint_round_resolves_once(self, count_mask_resolutions):

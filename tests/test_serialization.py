@@ -276,13 +276,16 @@ def test_engine_config_roundtrip():
         EngineConfig(
             use_batch=False,
             use_packed=False,
-            reduction_impl="dense",
-            reduction_batch_chunk=8,
             scenario_chunk=64,
+            threads=2,
         ),
     ]
     for config in configs:
         assert EngineConfig.from_dict(roundtrip(config.to_dict())) == config
+    assert sorted(EngineConfig().to_dict()) == sorted(
+        ["__type__", "version", "use_fast_path", "use_batch", "use_packed",
+         "scenario_chunk", "seed", "threads"]
+    )
 
 
 def test_engine_config_bad_payloads():
@@ -291,6 +294,35 @@ def test_engine_config_bad_payloads():
     payload = EngineConfig().to_dict()
     payload["version"] = 2
     with pytest.raises(SerializationError):
+        EngineConfig.from_dict(payload)
+
+
+def test_engine_config_rejects_unknown_fields():
+    payload = EngineConfig().to_dict()
+    payload["use_turbo"] = True
+    with pytest.raises(SerializationError, match="use_turbo"):
+        EngineConfig.from_dict(payload)
+
+
+REMOVED_REDUCTION_FIELDS = ("reduction_impl", "reduction_batch_chunk", "reduction_receiver_chunk")
+
+
+def test_engine_config_reads_v1_payloads_with_null_reduction_fields():
+    # Version-1 journals written before the reduction knobs were removed
+    # carry them as null; they decode to the same config.
+    payload = EngineConfig(use_batch=False, seed=3).to_dict()
+    payload.update({name: None for name in REMOVED_REDUCTION_FIELDS})
+    assert EngineConfig.from_dict(roundtrip(payload)) == EngineConfig(use_batch=False, seed=3)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("reduction_impl", "dense"), ("reduction_batch_chunk", 8), ("reduction_receiver_chunk", "auto")],
+)
+def test_engine_config_rejects_set_reduction_fields(name, value):
+    payload = EngineConfig().to_dict()
+    payload[name] = value
+    with pytest.raises(SerializationError, match=name):
         EngineConfig.from_dict(payload)
 
 
