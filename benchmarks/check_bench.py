@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 #: (old-timing key, new-timing key) pairs an entry may carry.  The
-#: dense/chunked/packed reduction timings are deliberately NOT gated:
-#: chunking and packing are memory-for-time tradeoffs measured at millisecond
-#: scale, so a 2x wall-clock bound on a noisy CI runner would flake without
-#: any code regression.
+#: dense/packed/sort-and-scan reduction timings are deliberately NOT gated:
+#: the kernels are memory-for-time tradeoffs measured at millisecond scale,
+#: so a 2x wall-clock bound on a noisy CI runner would flake without any
+#: code regression.
 _TIMING_PAIRS = (
     ("old_s", "new_s"),
     ("loop_s", "batched_s"),

@@ -63,7 +63,14 @@ from repro.graphs.families import (
     directed_star_graph,
     psi_family,
 )
-from repro.graphs.relations import alpha_classes, alpha_diameter, beta_classes
+from repro.graphs.relations import (
+    _alpha_classes_reference,
+    _alpha_diameter_reference,
+    _beta_classes_reference,
+    alpha_classes,
+    alpha_diameter,
+    beta_classes,
+)
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import PeriodicPattern
 from repro.models.standard import deaf_model
@@ -398,14 +405,12 @@ def _timed_choose(algorithm, values, adversary, rounds, use_fast_path, repeats) 
 def bench_adversary(grid, repeats: int) -> list:
     """Batched vs per-graph candidate evaluation of the greedy adversary.
 
-    Three candidate-evaluation regimes are timed (seconds spent inside the
-    adversary's ``choose`` calls; all three make identical graph choices):
+    Two candidate-evaluation regimes are timed (seconds spent inside the
+    adversary's ``choose`` calls; both make identical graph choices):
 
-    * ``old_s`` — the per-graph loop on the per-agent reference path (one
-      ``simulate_outputs`` per candidate, per-agent dict rounds), the
-      pre-vectorization baseline;
-    * ``fastpath_loop_s`` — the same per-graph loop with vectorized
-      single-candidate simulations;
+    * ``old_s`` — the adversary on the per-agent engine path
+      (``use_fast_path=False``): one ``simulate_outputs`` per candidate,
+      per-agent dict rounds, the pre-vectorization baseline;
     * ``new_s`` — all ``|N|`` candidates evaluated as one stacked
       ``(C, n, n)`` adjacency pass through the batch hooks.
     """
@@ -415,16 +420,10 @@ def bench_adversary(grid, repeats: int) -> list:
         model = _deaf_submodel(n, model_size)
         values = _initial_values(n, 1)
         old_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=False),
-            rounds, False, repeats,
-        )
-        fastpath_loop_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=False),
-            rounds, True, repeats,
+            algorithm, values, GreedyDiameterAdversary(model), rounds, False, repeats
         )
         new_s = _timed_choose(
-            algorithm, values, GreedyDiameterAdversary(model, use_batch=True),
-            rounds, True, repeats,
+            algorithm, values, GreedyDiameterAdversary(model), rounds, True, repeats
         )
         entry = {
             "benchmark": "greedy_adversary",
@@ -434,19 +433,14 @@ def bench_adversary(grid, repeats: int) -> list:
             "rounds": rounds,
             "d": 1,
             "old_s": old_s,
-            "fastpath_loop_s": fastpath_loop_s,
             "new_s": new_s,
             "speedup": old_s / new_s if new_s > 0 else float("inf"),
-            "speedup_vs_fastpath_loop": (
-                fastpath_loop_s / new_s if new_s > 0 else float("inf")
-            ),
         }
         results.append(entry)
         print(
             f"greedy-adv    {algorithm.name:10s} n={n:4d} |N|={model_size:3d} rounds={rounds:4d} "
-            f"old={old_s * 1e3:9.2f}ms loop={fastpath_loop_s * 1e3:8.2f}ms "
-            f"new={new_s * 1e3:8.2f}ms speedup={entry['speedup']:7.1f}x "
-            f"(vs fast loop {entry['speedup_vs_fastpath_loop']:.1f}x)"
+            f"old={old_s * 1e3:9.2f}ms new={new_s * 1e3:8.2f}ms "
+            f"speedup={entry['speedup']:7.1f}x"
         )
     return results
 
@@ -454,11 +448,10 @@ def bench_adversary(grid, repeats: int) -> list:
 def bench_psi_adversary(grid, repeats: int) -> list:
     """Batched vs per-sequence block evaluation of the Theorem 3 adversary.
 
-    The amortized midpoint carries state beyond its outputs, so the
-    per-sequence reference loop replays each candidate ``σ`` block through
-    ``run_from_configuration`` on the per-agent path — the pre-batching
-    behaviour — while the batched adversary rolls all three blocks forward as
-    stacked adjacency passes.
+    On the per-agent engine path (``old_s``) the adversary replays each
+    candidate ``σ`` block through ``run_from_configuration`` — the
+    pre-batching behaviour — while on the fast path (``new_s``) it rolls all
+    three blocks forward as stacked adjacency passes.
     """
     from repro.algorithms import AmortizedMidpointAlgorithm
     from repro.core.adversary import PsiBlockAdversary
@@ -468,12 +461,10 @@ def bench_psi_adversary(grid, repeats: int) -> list:
         algorithm = AmortizedMidpointAlgorithm()
         values = _initial_values(n, 1)
         old_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n, use_batch=False),
-            rounds, None, repeats,
+            algorithm, values, PsiBlockAdversary(n), rounds, False, repeats
         )
         new_s = _timed_choose(
-            algorithm, values, PsiBlockAdversary(n, use_batch=True),
-            rounds, None, repeats,
+            algorithm, values, PsiBlockAdversary(n), rounds, None, repeats
         )
         entry = {
             "benchmark": "psi_adversary",
@@ -590,6 +581,16 @@ def bench_reduction_memory(batch_size: int, n: int, d: int) -> list:
     return [entry]
 
 
+class _ReferenceEstimator(ValencyEstimator):
+    """The valency estimator pinned to its per-future reference loop."""
+
+    def _batchable(self) -> bool:
+        return False
+
+    def _batchable_stateful(self) -> bool:
+        return False
+
+
 def bench_valency(grid, repeats: int) -> list:
     """Batched valency estimation vs the per-sequence reference loop.
 
@@ -603,9 +604,8 @@ def bench_valency(grid, repeats: int) -> list:
     for n, depth, suffix_rounds in grid:
         model = deaf_model(n=n)
         configuration = initial_configuration(algorithm, np.linspace(0.0, 1.0, n))
-        reference = ValencyEstimator(
+        reference = _ReferenceEstimator(
             algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=depth,
-            use_batch=False,
         )
         batched = ValencyEstimator(
             algorithm, model, suffix_rounds=suffix_rounds, exploration_depth=depth,
@@ -753,10 +753,11 @@ def bench_contraction_trace(grid, repeats: int) -> list:
         model = deaf_model(n=n)
         values = np.linspace(0.0, 1.0, n)
 
-        def trace(use_batch):
+        def trace(batched):
+            make_estimator = ValencyEstimator if batched else _ReferenceEstimator
             return valency_contraction_trace(
                 algorithm, model, GreedyDiameterAdversary(model), values, rounds,
-                suffix_rounds=suffix_rounds, use_batch=use_batch,
+                estimator=make_estimator(algorithm, model, suffix_rounds=suffix_rounds),
             )
 
         old_s = _best_of(lambda: trace(False), repeats)
@@ -789,13 +790,18 @@ def bench_alpha_classes(grid, repeats: int) -> list:
         else:
             graphs = [deaf_variant(complete_graph(n), agent) for agent in range(n)]
 
-        def analyses(use_packed):
-            alpha_classes(graphs, use_packed=use_packed)
-            beta_classes(graphs, use_packed=use_packed)
-            alpha_diameter(graphs, use_packed=use_packed)
+        def reference():
+            _alpha_classes_reference(graphs)
+            _beta_classes_reference(graphs)
+            _alpha_diameter_reference(graphs)
 
-        old_s = _best_of(lambda: analyses(False), repeats)
-        new_s = _best_of(lambda: analyses(True), repeats)
+        def packed():
+            alpha_classes(graphs)
+            beta_classes(graphs)
+            alpha_diameter(graphs)
+
+        old_s = _best_of(reference, repeats)
+        new_s = _best_of(packed, repeats)
         entry = {
             "benchmark": "alpha_classes",
             "family": family,

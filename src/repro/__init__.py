@@ -6,7 +6,7 @@ The package's front door is the declarative :mod:`repro.api` facade::
 
     result = Study(
         algorithm=..., initial_values=..., pattern=..., rounds=...,
-        config=EngineConfig(use_fast_path=True),
+        config=EngineConfig(seed=7, threads=2),
     ).run()
 
 Everything the facade compiles to remains directly importable from the

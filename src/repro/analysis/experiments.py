@@ -194,7 +194,6 @@ def certification_sweep_rows(
     rounds: int = 24,
     suffix_rounds: int = 40,
     exploration_depth: int = 0,
-    use_batch: Optional[bool] = None,
     ensemble_size: Optional[int] = None,
     ensemble_spread: float = 0.05,
     seed: int = 0,
@@ -221,7 +220,6 @@ def certification_sweep_rows(
     common = {
         "suffix_rounds": int(suffix_rounds),
         "exploration_depth": int(exploration_depth),
-        "use_batch": use_batch,
         "ensemble_size": None if ensemble_size is None else int(ensemble_size),
         "ensemble_spread": float(ensemble_spread),
         "seed": int(seed),
@@ -268,7 +266,6 @@ def _certify_faulted_replay(
         certify=CertifySpec(
             suffix_rounds=descriptor["suffix_rounds"],
             exploration_depth=descriptor["exploration_depth"],
-            use_batch=descriptor["use_batch"],
         ),
         faults=fault_plan,
     ).run()
@@ -307,7 +304,6 @@ def _certify_single_row(
         model,
         suffix_rounds=descriptor["suffix_rounds"],
         exploration_depth=descriptor["exploration_depth"],
-        use_batch=descriptor["use_batch"],
     )
     trace = [
         float(estimate.lower_diameter)
@@ -371,7 +367,6 @@ def _certify_ensemble_row(
         certify=CertifySpec(
             suffix_rounds=descriptor["suffix_rounds"],
             exploration_depth=descriptor["exploration_depth"],
-            use_batch=descriptor["use_batch"],
         ),
     ).run()
     lower_rates = [c.rate_interval[0] for c in result.certificates]
@@ -475,7 +470,6 @@ def run_certification_sweep(
     rounds: int = 24,
     suffix_rounds: int = 40,
     exploration_depth: int = 0,
-    use_batch: Optional[bool] = None,
     config: Optional[EngineConfig] = None,
     ensemble_size: Optional[int] = None,
     ensemble_spread: float = 0.05,
@@ -502,10 +496,7 @@ def run_certification_sweep(
     Each row carries ``paper`` (the lower bound), ``output_rate`` (measured
     upper estimate), ``valency_lower_rate`` (the fitted decay of the valency
     trace, a certified lower estimate), and ``certified`` (whether the
-    interval brackets the bound up to the tolerance).  ``use_batch=False``
-    forces every estimate through the per-sequence reference loops (used by
-    the equivalence tests; bit-for-bit identical results).  ``config``
-    scopes the whole sweep inside an
+    interval brackets the bound up to the tolerance).  ``config`` scopes the whole sweep inside an
     :class:`~repro.config.EngineConfig` block, consolidating all engine
     knobs in one place.
 
@@ -544,7 +535,6 @@ def run_certification_sweep(
                 rounds=rounds,
                 suffix_rounds=suffix_rounds,
                 exploration_depth=exploration_depth,
-                use_batch=use_batch,
                 config=None,
                 ensemble_size=ensemble_size,
                 ensemble_spread=ensemble_spread,
@@ -556,7 +546,6 @@ def run_certification_sweep(
         rounds=rounds,
         suffix_rounds=suffix_rounds,
         exploration_depth=exploration_depth,
-        use_batch=use_batch,
         ensemble_size=ensemble_size,
         ensemble_spread=ensemble_spread,
         seed=seed,

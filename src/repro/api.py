@@ -43,13 +43,13 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.config import (
-    EngineConfig,
-    current_engine_config,
-    resolve_use_fast_path,
-)
+from repro.config import EngineConfig, current_engine_config
 from repro.core.contraction import fit_trace_rate
-from repro.core.valency import ValencyEstimate, ValencyEstimator
+from repro.core.valency import (
+    ValencyEstimate,
+    ValencyEstimator,
+    validate_estimator_parameters,
+)
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
 from repro.execution.batch import (
     AdversarialEnsembleExecution,
@@ -178,15 +178,21 @@ class ScenarioSpec:
 class CertifySpec:
     """What the optional certification pass of a :class:`Study` computes.
 
-    Mirrors the :class:`~repro.core.valency.ValencyEstimator` parameters;
-    ``use_batch``/``scenario_chunk`` left at ``None`` inherit from the
-    study's :class:`~repro.config.EngineConfig`.
+    Mirrors the :class:`~repro.core.valency.ValencyEstimator` parameters
+    and validates them at construction (raising
+    :class:`~repro.exceptions.ConfigError`), before any execution runs;
+    ``scenario_chunk`` left at ``None`` inherits from the study's
+    :class:`~repro.config.EngineConfig`.
     """
 
     suffix_rounds: int = 60
     exploration_depth: int = 0
-    use_batch: Optional[bool] = None
     scenario_chunk: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        validate_estimator_parameters(
+            self.suffix_rounds, self.exploration_depth, self.scenario_chunk
+        )
 
     def to_dict(self) -> dict:
         """A versioned JSON-safe encoding; invert with :meth:`from_dict`."""
@@ -212,7 +218,9 @@ class StudyProvenance:
         ``"run_ensemble"``, ``"run_pattern_ensemble"`` or
         ``"run_adversarial_ensemble"``.
     fast_path:
-        Whether the vectorized ``batch_*`` fast path drove the rounds.
+        Whether the vectorized ``batch_*`` fast path drove the rounds: the
+        algorithm's batch support on the single-scenario route, and
+        ``batched`` on the ensemble routes.
     batched:
         For ensemble routes, whether the scenarios ran as one stacked
         ensemble (``False`` = per-scenario fallback loop); ``None`` for
@@ -385,8 +393,8 @@ class Study:
         per-scenario certificates for the faulted trajectories.
     config:
         An :class:`~repro.config.EngineConfig`; the study runs inside it, so
-        every knob (fast path, batching, packed kernels, reductions) applies
-        to exactly the code the study executes.  ``None`` inherits the
+        every knob (valency chunking, seed, threads) applies to exactly the
+        code the study executes.  ``None`` inherits the
         ambient configuration.
     """
 
@@ -524,11 +532,9 @@ class Study:
                 spec.rounds,
                 record_every=spec.record_every,
             )
-            resolved = resolve_use_fast_path(None)
-            fast_path = self._algorithm.supports_batch() if resolved is None else resolved
             return execution, StudyProvenance(
                 route="run_execution",
-                fast_path=bool(fast_path),
+                fast_path=self._algorithm.supports_batch(),
                 batched=None,
                 config=merged,
                 faulted=plan is not None,
@@ -571,11 +577,9 @@ class Study:
                 fault_plan=plan,
             )
             route = "run_ensemble"
-        resolved = resolve_use_fast_path(None)
-        fast_path = self._algorithm.supports_batch() if resolved is None else resolved
         return result, StudyProvenance(
             route=route,
-            fast_path=bool(fast_path),
+            fast_path=result.batched,
             batched=result.batched,
             config=merged,
             faulted=plan is not None,
@@ -604,7 +608,6 @@ class Study:
             self._model,
             suffix_rounds=certify.suffix_rounds,
             exploration_depth=certify.exploration_depth,
-            use_batch=certify.use_batch,
             scenario_chunk=certify.scenario_chunk,
         )
 

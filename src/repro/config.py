@@ -1,23 +1,22 @@
-"""Unified engine configuration: every execution knob in one declarative object.
+"""Unified engine configuration: the scope-inherited execution knobs.
 
-The engines grew their tuning knobs one PR at a time: ``use_fast_path`` on
-:func:`repro.execution.run_execution`, ``use_batch`` on the adversaries and
-the :class:`~repro.core.valency.ValencyEstimator`, ``use_packed`` on the
-α-relation kernels, plus the seed and the worker count.
-:class:`EngineConfig` consolidates all of them into a single dataclass that
-doubles as an exception-safe, *thread-local* context manager:
+:class:`EngineConfig` bundles the knobs every engine entry point reads —
+the valency scenario-chunk bound, the seed and the worker count — into a
+single dataclass that doubles as an exception-safe, *thread-local* context
+manager:
 
 >>> from repro.config import EngineConfig
->>> with EngineConfig(use_fast_path=False, threads=2):
+>>> with EngineConfig(seed=3, threads=2):
 ...     ...  # every engine entry point inside the block sees the overrides
 
 Every field defaults to ``None``, meaning "inherit": from an enclosing
 ``EngineConfig`` block if one is active, else from the library default
-(auto-select fast path, batched evaluation on, packed kernels on,
-4096-scenario valency chunks, seed 0, one thread).  The fields are consulted
-lazily by the engine entry points through the ``resolve_*`` helpers below.
-The masked reductions take no configuration: their kernel follows the input
-shape (see :mod:`repro.algorithms.base`).
+(4096-scenario valency chunks, seed 0, one thread).  The fields are
+consulted lazily by the engine entry points through the ``resolve_*``
+helpers below.  Which execution path runs is not configurable: every route
+follows the algorithm's capabilities (its batch hooks), and the masked
+reductions pick their kernel from the input shape (see
+:mod:`repro.algorithms.base`).
 
 Configs nest: the innermost block wins field-by-field.  The active stack is
 thread-local, so concurrent studies can run under different configurations
@@ -36,8 +35,6 @@ from repro.exceptions import ConfigError
 
 #: Library defaults the ``resolve_*`` helpers fall back to when neither an
 #: explicit argument nor an active config sets a field.
-_DEFAULT_USE_BATCH = True
-_DEFAULT_USE_PACKED = True
 _DEFAULT_SCENARIO_CHUNK = 4096
 _DEFAULT_SEED = 0
 
@@ -62,37 +59,32 @@ def _default_threads() -> int:
 
 #: Fields that participate in the innermost-wins merge.
 _CONFIG_FIELDS = (
-    "use_fast_path",
-    "use_batch",
-    "use_packed",
     "scenario_chunk",
     "seed",
     "threads",
 )
 
-#: Fields of earlier version-1 payloads that no longer exist.  v1 journals
-#: hold them as ``null``; :meth:`EngineConfig.from_dict` accepts exactly that.
-_REMOVED_FIELDS = ("reduction_impl", "reduction_batch_chunk", "reduction_receiver_chunk")
+#: Fields of earlier version-1 payloads that no longer exist, with the reason
+#: each went.  v1 journals hold them as ``null``; :meth:`EngineConfig.from_dict`
+#: accepts exactly that.
+_REDUCTION_REASON = "masked reductions now pick their kernel from the input shape"
+_PATH_REASON = "the execution path now follows the algorithm's batch hooks"
+_REMOVED_FIELDS = {
+    "reduction_impl": _REDUCTION_REASON,
+    "reduction_batch_chunk": _REDUCTION_REASON,
+    "reduction_receiver_chunk": _REDUCTION_REASON,
+    "use_fast_path": _PATH_REASON,
+    "use_batch": _PATH_REASON,
+    "use_packed": "the alpha/beta-relation analyses always use the packed kernels",
+}
 
 
 @dataclass
 class EngineConfig:
-    """Declarative bundle of every engine execution knob.
+    """Declarative bundle of the scope-inherited engine knobs.
 
     Attributes
     ----------
-    use_fast_path:
-        Tri-state fast-path selection of the round engine (``None`` =
-        auto-select, ``False`` = per-agent reference path, ``True`` = require
-        the vectorized path).  Consulted by every entry point that accepts a
-        ``use_fast_path`` keyword when that keyword is left at ``None``.
-    use_batch:
-        Whether adversaries, ensemble runners and the valency estimator
-        evaluate candidates/futures as stacked ensembles (default ``True``)
-        or through their per-item reference loops (``False``).
-    use_packed:
-        Whether the α/β-relation analyses use the packed witness-tensor
-        kernels (default ``True``) or the per-pair reference loops.
     scenario_chunk:
         Upper bound on the number of stacked scenarios per batched valency
         pass (default 4096).
@@ -113,18 +105,11 @@ class EngineConfig:
         lazily on first use and torn down when the block exits.
     """
 
-    use_fast_path: Optional[bool] = None
-    use_batch: Optional[bool] = None
-    use_packed: Optional[bool] = None
     scenario_chunk: Optional[int] = None
     seed: Optional[int] = None
     threads: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("use_fast_path", "use_batch", "use_packed"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                raise ConfigError(f"{name} must be True, False or None, got {value!r}")
         if self.scenario_chunk is not None and (
             isinstance(self.scenario_chunk, bool)
             or not isinstance(self.scenario_chunk, int)
@@ -184,9 +169,8 @@ class EngineConfig:
                 raise SerializationError(f"EngineConfig payload has unknown field {name!r}")
             if value is not None:
                 raise SerializationError(
-                    f"EngineConfig field {name!r} was removed (masked reductions now "
-                    f"pick their kernel from the input shape) but the payload sets it "
-                    f"to {value!r}"
+                    f"EngineConfig field {name!r} was removed ({_REMOVED_FIELDS[name]}) "
+                    f"but the payload sets it to {value!r}"
                 )
         return cls(**{name: payload.get(name) for name in _CONFIG_FIELDS})
 
@@ -271,9 +255,8 @@ def _acquire_worker_pool(threads: int) -> Optional[ThreadPoolExecutor]:
 def _lookup(field_name: str):
     """Innermost non-None value of a field on the active config stack.
 
-    Kept allocation-free: the resolvers run on hot engine paths (one call
-    per ``apply_graph`` on the reference loops), so no merged dataclass is
-    built here.
+    Kept allocation-free: the resolvers run on engine entry points, so no
+    merged dataclass is built here.
     """
     for entry in reversed(_ACTIVE_CONFIGS.stack):
         value = getattr(entry.config, field_name)
@@ -295,29 +278,6 @@ def current_engine_config() -> EngineConfig:
             if value is not None:
                 merged[name] = value
     return EngineConfig(**merged)
-
-
-def resolve_use_fast_path(explicit: Optional[bool] = None) -> Optional[bool]:
-    """Fast-path tri-state: explicit argument, else active config, else auto (None)."""
-    if explicit is not None:
-        return explicit
-    return _lookup("use_fast_path")
-
-
-def resolve_use_batch(explicit: Optional[bool] = None) -> bool:
-    """Batched-evaluation flag: explicit argument, else active config, else True."""
-    if explicit is not None:
-        return explicit
-    configured = _lookup("use_batch")
-    return _DEFAULT_USE_BATCH if configured is None else configured
-
-
-def resolve_use_packed(explicit: Optional[bool] = None) -> bool:
-    """Packed-kernel flag: explicit argument, else active config, else True."""
-    if explicit is not None:
-        return explicit
-    configured = _lookup("use_packed")
-    return _DEFAULT_USE_PACKED if configured is None else configured
 
 
 def resolve_scenario_chunk(explicit: Optional[int] = None) -> int:
@@ -356,7 +316,4 @@ __all__ = [
     "resolve_scenario_chunk",
     "resolve_seed",
     "resolve_threads",
-    "resolve_use_batch",
-    "resolve_use_fast_path",
-    "resolve_use_packed",
 ]

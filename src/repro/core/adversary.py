@@ -19,14 +19,15 @@ All adversaries are :class:`~repro.models.patterns.AdversarialPattern`
 instances and can be passed directly to
 :func:`repro.execution.run_execution`.
 
-Candidate evaluation is *batched* by default: each decision routes all ``C``
-candidate graphs (or graph sequences) through
-:meth:`~repro.models.patterns.RoundContext.simulate_outputs_batch` /
-:meth:`~repro.models.patterns.RoundContext.simulate_sequences_batch`, which
-the fast execution path evaluates as one stacked ``(C, n, n)`` adjacency
-pass.  Pass ``use_batch=False`` to keep the per-graph reference loop (used by
-the benchmarks and equivalence tests); both make identical choices.  Every
-adversary also implements
+Every decision routes all ``C`` candidate graphs (or graph sequences)
+through :meth:`~repro.models.patterns.RoundContext.simulate_outputs_batch` /
+:meth:`~repro.models.patterns.RoundContext.simulate_sequences_batch` and
+keeps the first candidate with the largest successor output diameter.  The
+fast execution path evaluates the candidates as one stacked ``(C, n, n)``
+adjacency pass; the per-agent path (``run_execution(use_fast_path=False)``)
+simulates them one at a time and is the reference the equivalence tests and
+benchmarks compare against.  Both make identical choices.  Every adversary
+also implements
 :meth:`~repro.models.patterns.AdversarialPattern.ensemble_plan`, so whole
 scenario ensembles run through
 :func:`repro.execution.batch.run_adversarial_ensemble`.
@@ -37,37 +38,21 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.config import resolve_use_batch
 from repro.exceptions import ExecutionError
-from repro.execution.engine import run_from_configuration
-from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.families import psi_graph, two_agent_graphs
 from repro.models.network_model import NetworkModel
 from repro.models.patterns import AdversarialPattern, EnsemblePlan, RoundContext
-from repro.types import diameter, pairwise_diameters, running_argmax
-
-
-def _configuration_from_context(context: RoundContext) -> Configuration:
-    """Rebuild the engine's current configuration from a round context."""
-    return Configuration(
-        states=tuple(context.states),
-        outputs=np.asarray(context.outputs, dtype=float),
-        round_number=context.round_number - 1,
-    )
+from repro.types import pairwise_diameters, running_argmax
 
 
 class GreedyDiameterAdversary(AdversarialPattern):
     """Pick, every round, the model graph that maximizes the successor output diameter.
 
     Ties are broken by the order of the graphs in the model, which makes the
-    adversary deterministic and executions reproducible.  With ``use_batch``
-    (``None`` resolves through the active
-    :class:`~repro.config.EngineConfig`, default on) all ``|N|`` candidates
-    are evaluated as one stacked adjacency pass; ``use_batch=False`` keeps
-    the per-graph reference loop.
+    adversary deterministic and executions reproducible.  On the fast
+    execution path all ``|N|`` candidates are evaluated as one stacked
+    adjacency pass.
 
     ``avoid_repeat=True`` makes the adversary *history-dependent*: the graph
     committed in the previous round is removed from the candidate set (when
@@ -78,14 +63,8 @@ class GreedyDiameterAdversary(AdversarialPattern):
     :func:`repro.execution.batch.run_adversarial_ensemble`.
     """
 
-    def __init__(
-        self,
-        model: NetworkModel,
-        use_batch: Optional[bool] = None,
-        avoid_repeat: bool = False,
-    ) -> None:
+    def __init__(self, model: NetworkModel, avoid_repeat: bool = False) -> None:
         self._model = model
-        self._use_batch = use_batch
         self._avoid_repeat = avoid_repeat
 
     @property
@@ -106,19 +85,8 @@ class GreedyDiameterAdversary(AdversarialPattern):
 
     def choose(self, context: RoundContext) -> CommunicationGraph:
         graphs = self._candidate_graphs(context.history)
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_outputs_batch(graphs)
-            return graphs[running_argmax(pairwise_diameters(outputs))]
-        best_graph: Optional[CommunicationGraph] = None
-        best_diameter = -1.0
-        for graph in graphs:
-            outputs = context.simulate_outputs(graph)
-            candidate = diameter(outputs)
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_graph = graph
-        assert best_graph is not None
-        return best_graph
+        outputs = context.simulate_outputs_batch(graphs)
+        return graphs[running_argmax(pairwise_diameters(outputs))]
 
     def ensemble_plan(self, round_number: int, n: int) -> Optional[EnsemblePlan]:
         if self._avoid_repeat:
@@ -165,34 +133,19 @@ class LookaheadDiameterAdversary(AdversarialPattern):
     sequence is committed each round (receding-horizon control).
     """
 
-    def __init__(
-        self, model: NetworkModel, lookahead: int = 2, use_batch: Optional[bool] = None
-    ) -> None:
+    def __init__(self, model: NetworkModel, lookahead: int = 2) -> None:
         if lookahead < 1:
             raise ExecutionError(f"lookahead must be >= 1, got {lookahead}")
         self._model = model
         self._lookahead = lookahead
-        self._use_batch = use_batch
 
     def _candidate_sequences(self) -> List[Tuple[CommunicationGraph, ...]]:
         return list(iter_product(list(self._model), repeat=self._lookahead))
 
     def choose(self, context: RoundContext) -> CommunicationGraph:
         sequences = self._candidate_sequences()
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_sequences_batch(sequences)
-            return sequences[running_argmax(pairwise_diameters(outputs))][0]
-        configuration = _configuration_from_context(context)
-        best_sequence: Optional[Tuple[CommunicationGraph, ...]] = None
-        best_diameter = -1.0
-        for sequence in sequences:
-            final, _ = run_from_configuration(context.algorithm, configuration, list(sequence))
-            candidate = final.output_diameter()
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_sequence = sequence
-        assert best_sequence is not None
-        return best_sequence[0]
+        outputs = context.simulate_sequences_batch(sequences)
+        return sequences[running_argmax(pairwise_diameters(outputs))][0]
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         return EnsemblePlan(
@@ -212,24 +165,14 @@ class TwoAgentAdversary(AdversarialPattern):
     third of the parent's".
     """
 
-    def __init__(self, use_batch: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._graphs = list(two_agent_graphs())
-        self._use_batch = use_batch
 
     def choose(self, context: RoundContext) -> CommunicationGraph:
         if context.outputs.shape[0] != 2:
             raise ExecutionError("TwoAgentAdversary only applies to systems of 2 agents")
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_outputs_batch(self._graphs)
-            return self._graphs[running_argmax(pairwise_diameters(outputs))]
-        best_graph = self._graphs[0]
-        best_diameter = -1.0
-        for graph in self._graphs:
-            candidate = diameter(context.simulate_outputs(graph))
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_graph = graph
-        return best_graph
+        outputs = context.simulate_outputs_batch(self._graphs)
+        return self._graphs[running_argmax(pairwise_diameters(outputs))]
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != 2:
@@ -253,13 +196,12 @@ class PsiBlockAdversary(AdversarialPattern):
     of the property ``P_seq`` of Section 6.2.
     """
 
-    def __init__(self, n: int, use_batch: Optional[bool] = None) -> None:
+    def __init__(self, n: int) -> None:
         if n < 4:
             raise ExecutionError("PsiBlockAdversary requires n >= 4 agents")
         self._n = n
         self._block_length = n - 2
         self._psi = {i: psi_graph(n, i) for i in (0, 1, 2)}
-        self._use_batch = use_batch
         self._current_choice: Optional[int] = None
         self._chosen_blocks: List[int] = []
 
@@ -283,20 +225,8 @@ class PsiBlockAdversary(AdversarialPattern):
         return [[self._psi[choice]] * self._block_length for choice in (0, 1, 2)]
 
     def _pick_block(self, context: RoundContext) -> int:
-        if resolve_use_batch(self._use_batch):
-            outputs = context.simulate_sequences_batch(self._candidate_blocks())
-            return running_argmax(pairwise_diameters(outputs))
-        configuration = _configuration_from_context(context)
-        best_choice = 0
-        best_diameter = -1.0
-        for choice in (0, 1, 2):
-            block = [self._psi[choice]] * self._block_length
-            final, _ = run_from_configuration(context.algorithm, configuration, block)
-            candidate = final.output_diameter()
-            if candidate > best_diameter + 1e-15:
-                best_diameter = candidate
-                best_choice = choice
-        return best_choice
+        outputs = context.simulate_sequences_batch(self._candidate_blocks())
+        return running_argmax(pairwise_diameters(outputs))
 
     def ensemble_plan(self, round_number: int, n: int) -> EnsemblePlan:
         if n != self._n:

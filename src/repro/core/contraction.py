@@ -105,7 +105,6 @@ def valency_contraction_trace(
     suffix_rounds: int = 60,
     exploration_depth: int = 0,
     estimator: Optional[ValencyEstimator] = None,
-    use_batch: Optional[bool] = None,
 ) -> List[float]:
     """Lower estimates of ``δ_N(C_t)`` for ``t = 0 .. rounds`` along one execution.
 
@@ -113,14 +112,12 @@ def valency_contraction_trace(
     track: under the proof adversaries the returned sequence decays no faster
     than ``bound^t · δ_N(C_0)``.
 
-    With ``use_batch`` (``None`` resolves through the active
-    :class:`~repro.config.EngineConfig`, batched by default) the per-round
-    valency estimates run through the estimator's stacked-ensemble path —
-    for round-invariant algorithms the futures of *every* recorded
-    configuration are evaluated as one ensemble per exploration depth, and
-    stateful batch algorithms are covered through the ``batch_state``
-    restore hooks — and are bit-for-bit equal to the ``use_batch=False``
-    reference loop.
+    For algorithms with batch hooks the per-round valency estimates run
+    through the estimator's stacked-ensemble path — for round-invariant
+    algorithms the futures of *every* recorded configuration are evaluated
+    as one ensemble per exploration depth, and stateful batch algorithms are
+    covered through the ``batch_state`` restore hooks — bit-for-bit equal to
+    the estimator's per-future reference loop.
     """
     execution = run_execution(algorithm, initial_values, pattern, rounds)
     estimator = estimator or ValencyEstimator(
@@ -128,7 +125,6 @@ def valency_contraction_trace(
         model,
         suffix_rounds=suffix_rounds,
         exploration_depth=exploration_depth,
-        use_batch=use_batch,
     )
     return [
         float(estimate.lower_diameter)
@@ -145,7 +141,6 @@ def valency_contraction_trace_ensemble(
     suffix_rounds: int = 60,
     exploration_depth: int = 0,
     estimator: Optional[ValencyEstimator] = None,
-    use_batch: Optional[bool] = None,
     record_every: int = 1,
 ) -> np.ndarray:
     """Per-scenario valency-diameter traces along a whole ``(B, n, d)`` ensemble.
@@ -173,7 +168,6 @@ def valency_contraction_trace_ensemble(
         model,
         suffix_rounds=suffix_rounds,
         exploration_depth=exploration_depth,
-        use_batch=use_batch,
     )
     per_scenario = estimator.certify_ensemble(ensemble)
     return np.array(

@@ -22,9 +22,9 @@ For convex-combination algorithms the diameter of the current outputs is an
 *upper* bound on ``δ_N(C)`` (the limit always lies in the convex hull of the
 current values), so the estimator can also report certified two-sided bounds.
 
-Two evaluation paths are available, mirroring the adversary API:
+The algorithm's capabilities pick the evaluation path:
 
-* the **batched path** (``use_batch=True``, the default) enumerates all
+* the **batched path** (algorithms with batch hooks) enumerates all
   sampled futures of one exploration depth as a stacked scenario ensemble —
   per-round ``(K, n, n)`` adjacency stacks driven through the algorithm's
   ``batch_*`` hooks — so a whole valency estimate costs a handful of array
@@ -38,11 +38,11 @@ Two evaluation paths are available, mirroring the adversary API:
   covered through the ``batch_state`` snapshot/restore hooks
   (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`), which
   resume the recorded per-agent states exactly.
-* the **reference path** (``use_batch=False``, or any algorithm without
-  batch hooks) runs one ``run_from_configuration`` per sampled future.
+* the **reference path** (any algorithm without batch hooks) runs one
+  ``run_from_configuration`` per sampled future.
 
 Both paths produce bit-for-bit identical estimates (enforced by
-``tests/test_valency_batch.py``).
+``tests/test_valency_batch.py``, which calls the reference loop directly).
 """
 
 from __future__ import annotations
@@ -54,14 +54,32 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
-from repro.config import resolve_scenario_chunk, resolve_threads, resolve_use_batch
-from repro.exceptions import EnsembleShapeError, ExecutionError
+from repro.config import resolve_scenario_chunk, resolve_threads
+from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
 from repro.execution.batch import EnsembleExecution
 from repro.execution.engine import run_from_configuration
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.network_model import NetworkModel
 from repro.types import diameter
+
+
+def validate_estimator_parameters(
+    suffix_rounds: int, exploration_depth: int, scenario_chunk: Optional[int]
+) -> None:
+    """Reject estimator parameters no valency pass can run with.
+
+    Shared by :class:`ValencyEstimator` and :class:`repro.api.CertifySpec`,
+    so a bad certification request fails at construction with
+    :class:`~repro.exceptions.ConfigError` rather than after its execution.
+    ``scenario_chunk=None`` (inherit from the config) is accepted.
+    """
+    if suffix_rounds < 1:
+        raise ConfigError(f"suffix_rounds must be >= 1, got {suffix_rounds}")
+    if exploration_depth < 0:
+        raise ConfigError(f"exploration_depth must be >= 0, got {exploration_depth}")
+    if scenario_chunk is not None and scenario_chunk < 1:
+        raise ConfigError(f"scenario_chunk must be >= 1, got {scenario_chunk}")
 
 
 @dataclass
@@ -103,17 +121,6 @@ class ValencyEstimator:
         All graph sequences of this length are explored exhaustively before
         appending constant suffixes.  Depth 0 (the default) samples only the
         constant suffixes, which is sufficient for the paper's constructions.
-    use_batch:
-        Evaluate all sampled futures as stacked scenario ensembles through
-        the algorithm's batch hooks.  ``None`` (the default) resolves through
-        the active :class:`~repro.config.EngineConfig` (batched unless
-        configured off).  Memoryless convex-combination algorithms rebuild
-        their state from configuration outputs; stateful batch algorithms
-        (e.g. the amortized midpoint) are covered through the
-        ``Algorithm.batch_state`` snapshot/restore hooks
-        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`).
-        Algorithms supporting neither fall back to the per-future reference
-        loop; ``use_batch=False`` forces the reference loop.
     scenario_chunk:
         Upper bound on the number of stacked scenarios per batched pass
         (``None`` resolves through the active config, default 4096).
@@ -135,24 +142,16 @@ class ValencyEstimator:
         model: NetworkModel,
         suffix_rounds: int = 60,
         exploration_depth: int = 0,
-        use_batch: Optional[bool] = None,
         scenario_chunk: Optional[int] = None,
         threads: Optional[int] = None,
     ) -> None:
-        use_batch = resolve_use_batch(use_batch)
         scenario_chunk = resolve_scenario_chunk(scenario_chunk)
         threads = resolve_threads(threads)
-        if suffix_rounds < 1:
-            raise ValueError(f"suffix_rounds must be >= 1, got {suffix_rounds}")
-        if exploration_depth < 0:
-            raise ValueError(f"exploration_depth must be >= 0, got {exploration_depth}")
-        if scenario_chunk < 1:
-            raise ValueError(f"scenario_chunk must be >= 1, got {scenario_chunk}")
+        validate_estimator_parameters(suffix_rounds, exploration_depth, scenario_chunk)
         self._algorithm = algorithm
         self._model = model
         self._suffix_rounds = suffix_rounds
         self._exploration_depth = exploration_depth
-        self._use_batch = use_batch
         self._scenario_chunk = scenario_chunk
         self._threads = threads
 
@@ -417,11 +416,10 @@ class ValencyEstimator:
         is exact only for memoryless convex-combination algorithms with batch
         hooks.  Stateful batch algorithms take the batch-state path
         (:meth:`_batchable_stateful`); anything else takes the per-future
-        reference loop (mirroring the adversaries' ``use_batch`` fallback).
+        reference loop.
         """
         return (
-            self._use_batch
-            and isinstance(self._algorithm, ConvexCombinationAlgorithm)
+            isinstance(self._algorithm, ConvexCombinationAlgorithm)
             and self._algorithm.supports_batch()
         )
 
@@ -436,8 +434,7 @@ class ValencyEstimator:
         fan it out into the same stacked ensembles.
         """
         return (
-            self._use_batch
-            and not isinstance(self._algorithm, ConvexCombinationAlgorithm)
+            not isinstance(self._algorithm, ConvexCombinationAlgorithm)
             and self._algorithm.supports_batch()
             and self._algorithm.supports_batch_state()
         )

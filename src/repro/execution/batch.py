@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.config import resolve_threads, resolve_use_batch
+from repro.config import resolve_threads
 from repro.exceptions import ConfigError, EnsembleShapeError, ExecutionError
 from repro.execution.engine import _AdjacencyCache, apply_graph, initial_configuration
 from repro.execution.parallel import parallel_map, shard_bounds
@@ -392,11 +392,11 @@ def run_ensemble(
     scenario_labels:
         Optional labels stored on the result (one per scenario).
     use_batch:
-        ``None`` (default) consults the active
-        :class:`~repro.config.EngineConfig` and auto-selects; ``False``
-        forces the per-scenario fallback loop; ``True`` requires the stacked
-        ensemble path (raising if the algorithm has no batch hooks).  Both
-        paths are bit-for-bit identical.
+        ``None`` (default) follows the algorithm's batch hooks; ``False``
+        forces the per-scenario loop (the oracle the stacked path is checked
+        against); ``True`` requires the stacked ensemble path (raising if the
+        algorithm has no batch hooks).  Both paths are bit-for-bit
+        identical.
     record_states:
         Additionally record per-scenario configuration snapshots (per-agent
         states) at every recorded round, enabling
@@ -456,7 +456,7 @@ def run_ensemble(
             plan,
             worker_count,
         )
-    if not algorithm.supports_batch() or not resolve_use_batch(use_batch):
+    if not algorithm.supports_batch() or use_batch is False:
         return _run_ensemble_slow(
             algorithm, values, graph_rounds, record_every, labels, record_states, plan
         )
@@ -733,7 +733,7 @@ def run_adversarial_ensemble(
 
     Falls back to scenario-by-scenario :func:`repro.execution.run_execution`
     when the algorithm has no batch hooks, the adversary implements neither
-    plan hook, or ``use_batch`` resolves to ``False``.
+    plan hook, or ``use_batch=False`` asks for the per-scenario oracle.
 
     Fault injection is not supported on the adversarial route (a non-zero
     ``fault_plan`` raises :class:`~repro.exceptions.ConfigError`): the
@@ -786,7 +786,7 @@ def run_adversarial_ensemble(
             record_states,
             worker_count,
         )
-    batchable = algorithm.supports_batch() and resolve_use_batch(use_batch)
+    batchable = algorithm.supports_batch() and use_batch is not False
     # One-time probe: adversaries that keep the base-class ensemble_plans
     # always answer None, so the runner skips the per-round call (and the
     # per-scenario history copies it would need) entirely for them.

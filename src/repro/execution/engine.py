@@ -19,9 +19,11 @@ Two execution paths are available and produce equivalent executions:
   reductions over the graph's adjacency matrix, and per-agent states are only
   materialized for recorded configurations.
 
-``use_fast_path=None`` (the default) auto-selects; ``False`` forces the
-per-agent path (used by the equivalence tests and benchmarks) and ``True``
-requires the fast path.  Adaptive patterns keep working on the fast path:
+``use_fast_path=None`` (the default) follows the algorithm's batch hooks;
+``False`` forces the per-agent path (the production path of algorithms
+without batch hooks, and the oracle the equivalence tests and benchmarks
+compare against) and ``True`` requires the fast path.  No configuration
+scope changes the choice.  Adaptive patterns keep working on the fast path:
 the :class:`~repro.models.patterns.RoundContext` exposes the same outputs and
 (lazily materialized) states, and ``simulate_outputs`` routes through the
 same dispatch.
@@ -34,7 +36,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm, ConvexCombinationAlgorithm
-from repro.config import resolve_use_fast_path
 from repro.exceptions import ExecutionError
 from repro.execution.execution import Execution
 from repro.execution.state import Configuration
@@ -46,10 +47,8 @@ from repro.types import ValuesLike, as_value_matrix
 def _fast_path_enabled(algorithm: Algorithm, use_fast_path: Optional[bool]) -> bool:
     """Resolve the ``use_fast_path`` tri-state against the algorithm's support.
 
-    An explicit argument wins; ``None`` consults the active
-    :class:`~repro.config.EngineConfig` (if any) before auto-selecting.
+    An explicit argument wins; ``None`` follows :meth:`Algorithm.supports_batch`.
     """
-    use_fast_path = resolve_use_fast_path(use_fast_path)
     if use_fast_path is None:
         return algorithm.supports_batch()
     if use_fast_path and not algorithm.supports_batch():

@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.config import resolve_use_packed
 from repro.exceptions import ModelError
 from repro.graphs.digraph import CommunicationGraph
 from repro.graphs.packed import (
@@ -180,26 +179,34 @@ def alpha_step_graph(
     graphs: Sequence[CommunicationGraph],
     witnesses: Optional[Sequence[CommunicationGraph]] = None,
     use_union_form: bool = False,
-    use_packed: Optional[bool] = None,
 ) -> Dict[CommunicationGraph, Set[CommunicationGraph]]:
     """The one-step α relation on ``graphs`` as an adjacency mapping.
 
     ``result[G]`` contains every ``H`` such that ``G α_{N,K} H`` for some
     witness ``K`` (witnesses default to ``graphs`` themselves, i.e. the
     network model).  The relation is symmetric, and reflexive on every graph
-    for which some witness exists.  ``use_packed`` (the default) computes the
-    relation through the vectorized :func:`alpha_relation_matrix`;
-    ``use_packed=False`` keeps the per-pair reference loop.
+    for which some witness exists.  It is computed through the vectorized
+    :func:`alpha_relation_matrix`; :func:`_alpha_step_graph_reference` is the
+    per-pair loop the tests check it against.
     """
     graphs = _check_model(graphs)
-    use_packed = resolve_use_packed(use_packed)
     witnesses = list(witnesses) if witnesses is not None else graphs
     adjacency: Dict[CommunicationGraph, Set[CommunicationGraph]] = {g: set() for g in graphs}
-    if use_packed:
-        matrix = alpha_relation_matrix(graphs, witnesses=witnesses, use_union_form=use_union_form)
-        for idx_g, idx_h in zip(*np.nonzero(matrix)):
-            adjacency[graphs[idx_g]].add(graphs[idx_h])
-        return adjacency
+    matrix = alpha_relation_matrix(graphs, witnesses=witnesses, use_union_form=use_union_form)
+    for idx_g, idx_h in zip(*np.nonzero(matrix)):
+        adjacency[graphs[idx_g]].add(graphs[idx_h])
+    return adjacency
+
+
+def _alpha_step_graph_reference(
+    graphs: Sequence[CommunicationGraph],
+    witnesses: Optional[Sequence[CommunicationGraph]] = None,
+    use_union_form: bool = False,
+) -> Dict[CommunicationGraph, Set[CommunicationGraph]]:
+    """Per-pair reference loop of :func:`alpha_step_graph`."""
+    graphs = _check_model(graphs)
+    witnesses = list(witnesses) if witnesses is not None else graphs
+    adjacency: Dict[CommunicationGraph, Set[CommunicationGraph]] = {g: set() for g in graphs}
     related = alpha_related_union if use_union_form else alpha_related
     for idx_g, g in enumerate(graphs):
         for h in graphs[idx_g:]:
@@ -214,10 +221,9 @@ def alpha_star_related(
     graph_g: CommunicationGraph,
     graph_h: CommunicationGraph,
     use_union_form: bool = False,
-    use_packed: Optional[bool] = None,
 ) -> bool:
     """Whether ``G α*_N H`` (transitive closure of the one-step α relation)."""
-    classes = alpha_classes(graphs, use_union_form=use_union_form, use_packed=use_packed)
+    classes = alpha_classes(graphs, use_union_form=use_union_form)
     for cls in classes:
         if graph_g in cls and graph_h in cls:
             return True
@@ -227,29 +233,33 @@ def alpha_star_related(
 def alpha_classes(
     graphs: Sequence[CommunicationGraph],
     use_union_form: bool = False,
-    use_packed: Optional[bool] = None,
 ) -> List[FrozenSet[CommunicationGraph]]:
     """The equivalence classes of ``α*_N`` (connected components of the α step graph).
 
-    The default packed path computes the whole one-step relation as a
-    boolean matrix (no per-pair Python set comparisons) and extracts
-    components by boolean closure; ``use_packed=False`` keeps the reference
-    per-pair BFS.
+    The whole one-step relation is computed as a boolean matrix (no per-pair
+    Python set comparisons) and components are extracted by boolean
+    closure; :func:`_alpha_classes_reference` is the per-pair BFS the tests
+    check it against.
     """
     graphs = _check_model(graphs)
-    use_packed = resolve_use_packed(use_packed)
-    if use_packed:
-        unique = _unique_graphs(graphs)
-        matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
-        return _components_from_matrix(unique, matrix)
-    adjacency = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
+    unique = _unique_graphs(graphs)
+    matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
+    return _components_from_matrix(unique, matrix)
+
+
+def _alpha_classes_reference(
+    graphs: Sequence[CommunicationGraph],
+    use_union_form: bool = False,
+) -> List[FrozenSet[CommunicationGraph]]:
+    """Per-pair BFS reference of :func:`alpha_classes`."""
+    graphs = _check_model(graphs)
+    adjacency = _alpha_step_graph_reference(graphs, use_union_form=use_union_form)
     return _connected_components(graphs, adjacency)
 
 
 def beta_classes(
     graphs: Sequence[CommunicationGraph],
     use_union_form: bool = False,
-    use_packed: Optional[bool] = None,
 ) -> List[FrozenSet[CommunicationGraph]]:
     """The β_N-classes of Definition 16, via partition refinement.
 
@@ -260,42 +270,48 @@ def beta_classes(
     and witnesses of the same class), and since splits only happen when the
     closure property fails, the fixpoint is the coarsest such refinement.
 
-    On the packed path the per-witness α tensor is computed once and every
-    refinement step just slices it, so no α relations are ever recomputed.
+    The per-witness α tensor is computed once and every refinement step just
+    slices it, so no α relations are ever recomputed;
+    :func:`_beta_classes_reference` is the per-pair loop the tests check it
+    against.
     """
     graphs = _check_model(graphs)
-    use_packed = resolve_use_packed(use_packed)
-    if use_packed:
-        unique = _unique_graphs(graphs)
-        tensor = alpha_witness_tensor(unique, use_union_form=use_union_form)
-        matrix = tensor.any(axis=0)
-        index_partition: List[np.ndarray] = [
-            np.asarray(sorted(indices), dtype=int)
-            for indices in _index_components(matrix)
-        ]
-        changed = True
-        while changed:
-            changed = False
-            refined: List[np.ndarray] = []
-            for class_indices in index_partition:
-                sub = tensor[np.ix_(class_indices, class_indices, class_indices)].any(axis=0)
-                components = _index_components(sub)
-                if len(components) > 1:
-                    changed = True
-                refined.extend(class_indices[np.asarray(sorted(c), dtype=int)] for c in components)
-            index_partition = refined
-        return [frozenset(unique[i] for i in indices) for indices in index_partition]
+    unique = _unique_graphs(graphs)
+    tensor = alpha_witness_tensor(unique, use_union_form=use_union_form)
+    matrix = tensor.any(axis=0)
+    index_partition: List[np.ndarray] = [
+        np.asarray(sorted(indices), dtype=int)
+        for indices in _index_components(matrix)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        refined: List[np.ndarray] = []
+        for class_indices in index_partition:
+            sub = tensor[np.ix_(class_indices, class_indices, class_indices)].any(axis=0)
+            components = _index_components(sub)
+            if len(components) > 1:
+                changed = True
+            refined.extend(class_indices[np.asarray(sorted(c), dtype=int)] for c in components)
+        index_partition = refined
+    return [frozenset(unique[i] for i in indices) for indices in index_partition]
+
+
+def _beta_classes_reference(
+    graphs: Sequence[CommunicationGraph],
+    use_union_form: bool = False,
+) -> List[FrozenSet[CommunicationGraph]]:
+    """Per-pair partition-refinement reference of :func:`beta_classes`."""
     partition: List[List[CommunicationGraph]] = [
-        list(cls)
-        for cls in alpha_classes(graphs, use_union_form=use_union_form, use_packed=False)
+        list(cls) for cls in _alpha_classes_reference(graphs, use_union_form=use_union_form)
     ]
     changed = True
     while changed:
         changed = False
         refined: List[List[CommunicationGraph]] = []
         for cls in partition:
-            adjacency = alpha_step_graph(
-                cls, witnesses=cls, use_union_form=use_union_form, use_packed=False
+            adjacency = _alpha_step_graph_reference(
+                cls, witnesses=cls, use_union_form=use_union_form
             )
             components = _connected_components(cls, adjacency)
             if len(components) > 1:
@@ -339,7 +355,6 @@ def is_source_incompatible(graphs: Sequence[CommunicationGraph]) -> bool:
 def alpha_diameter(
     graphs: Sequence[CommunicationGraph],
     use_union_form: bool = False,
-    use_packed: Optional[bool] = None,
 ) -> float:
     """The α-diameter ``D`` of a network model (Definition 22).
 
@@ -350,30 +365,36 @@ def alpha_diameter(
     is α-related to itself (which holds whenever the model has a rooted
     witness) — matching the paper's convention ``D >= 1``.
 
-    The packed path replaces the per-source BFS with a simultaneous
-    frontier expansion on the relation matrix (one boolean matmul per
-    distance level).
+    A simultaneous frontier expansion on the relation matrix (one boolean
+    matmul per distance level) replaces a per-source BFS;
+    :func:`_alpha_diameter_reference` is the BFS the tests check it against.
     """
     graphs = _check_model(graphs)
-    use_packed = resolve_use_packed(use_packed)
-    if use_packed:
-        unique = _unique_graphs(graphs)
-        matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
-        count = len(unique)
-        reached = np.eye(count, dtype=bool)
-        frontier = reached.copy()
-        diameter = 1  # Definition 22 requires D >= 1.
-        level = 0
-        while frontier.any():
-            level += 1
-            frontier = (frontier @ matrix) & ~reached
-            if frontier.any():
-                diameter = max(diameter, level)
-                reached |= frontier
-        if not reached.all():
-            return float("inf")
-        return float(diameter)
-    adjacency = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
+    unique = _unique_graphs(graphs)
+    matrix = alpha_relation_matrix(unique, use_union_form=use_union_form)
+    count = len(unique)
+    reached = np.eye(count, dtype=bool)
+    frontier = reached.copy()
+    diameter = 1  # Definition 22 requires D >= 1.
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ matrix) & ~reached
+        if frontier.any():
+            diameter = max(diameter, level)
+            reached |= frontier
+    if not reached.all():
+        return float("inf")
+    return float(diameter)
+
+
+def _alpha_diameter_reference(
+    graphs: Sequence[CommunicationGraph],
+    use_union_form: bool = False,
+) -> float:
+    """Per-source BFS reference of :func:`alpha_diameter`."""
+    graphs = _check_model(graphs)
+    adjacency = _alpha_step_graph_reference(graphs, use_union_form=use_union_form)
     diameter = 1  # Definition 22 requires D >= 1.
     for source in graphs:
         distances = _bfs_distances(source, graphs, adjacency)

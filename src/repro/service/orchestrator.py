@@ -761,7 +761,6 @@ def run_certification_sweep_service(
     rounds: int = 24,
     suffix_rounds: int = 40,
     exploration_depth: int = 0,
-    use_batch: Optional[bool] = None,
     config=None,
     ensemble_size: Optional[int] = None,
     ensemble_spread: float = 0.05,
@@ -798,7 +797,6 @@ def run_certification_sweep_service(
             rounds=rounds,
             suffix_rounds=suffix_rounds,
             exploration_depth=exploration_depth,
-            use_batch=use_batch,
             ensemble_size=ensemble_size,
             ensemble_spread=ensemble_spread,
             seed=seed,

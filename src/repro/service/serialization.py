@@ -587,7 +587,6 @@ def encode_certify_spec(spec) -> dict:
         "version": 1,
         "suffix_rounds": spec.suffix_rounds,
         "exploration_depth": spec.exploration_depth,
-        "use_batch": spec.use_batch,
         "scenario_chunk": spec.scenario_chunk,
     }
 
@@ -596,10 +595,16 @@ def decode_certify_spec(payload: dict):
     from repro.api import CertifySpec
 
     _check_header(payload, "CertifySpec")
+    # Earlier version-1 payloads carry the removed ``use_batch`` field as
+    # ``null``; only that value still decodes.
+    if payload.get("use_batch") is not None:
+        raise SerializationError(
+            "CertifySpec field 'use_batch' was removed (the valency path now follows "
+            f"the algorithm's batch hooks) but the payload sets it to {payload['use_batch']!r}"
+        )
     return CertifySpec(
         suffix_rounds=payload["suffix_rounds"],
         exploration_depth=payload["exploration_depth"],
-        use_batch=payload["use_batch"],
         scenario_chunk=payload["scenario_chunk"],
     )
 

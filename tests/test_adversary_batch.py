@@ -2,9 +2,10 @@
 
 Three properties are enforced:
 
-* batched candidate evaluation makes *identical* choices to the per-graph
-  reference loops on the Theorem 1 / Theorem 3 reference executions (and on
-  generic greedy/lookahead runs), on both execution paths;
+* batched candidate evaluation makes *identical* choices to a per-candidate
+  reference scan (:class:`_ReferenceLoop`, run on the per-agent engine path)
+  on the Theorem 1 / Theorem 3 reference executions (and on generic
+  greedy/lookahead runs), on both execution paths;
 * :func:`repro.execution.run_adversarial_ensemble` commits the same graph
   sequences and outputs as independent per-scenario runs;
 * every masked-reduction kernel is bit-for-bit equal to the plain dense
@@ -39,9 +40,11 @@ from repro.core.adversary import (
 from repro.exceptions import ExecutionError
 from repro.execution import run_adversarial_ensemble, run_execution
 from repro.execution.batch import _batch_diameters, _round_adjacency
-from repro.execution.engine import _AdjacencyCache
+from repro.execution.engine import _AdjacencyCache, run_from_configuration
+from repro.execution.state import Configuration
 from repro.execution.parallel import shard_bounds
 from repro.graphs.families import complete_graph, cycle_graph
+from repro.models.patterns import AdversarialPattern
 from repro.models.standard import deaf_model, two_agent_model
 from repro.types import pairwise_diameters, running_argmax
 
@@ -52,6 +55,46 @@ class _SlowMidpoint(ConvexCombinationAlgorithm):
     def combine(self, agent_id, received, round_number):
         values = np.vstack(list(received.values()))
         return (values.min(axis=0) + values.max(axis=0)) / 2.0
+
+
+class _ReferenceLoop(AdversarialPattern):
+    """Per-candidate reference scan over an adversary's own ensemble plan.
+
+    Each decision replays every candidate sequence of the wrapped
+    adversary's plan from the current configuration through the per-agent
+    engine, keeps the first candidate whose output diameter beats the best
+    so far by more than ``1e-15``, and commits its first ``commit_rounds``
+    graphs — the loop the adversaries ran before candidate evaluation was
+    batched.
+    """
+
+    def __init__(self, adversary):
+        self._adversary = adversary
+        self._pending = []
+
+    def reset(self):
+        self._adversary.reset()
+        self._pending = []
+
+    def choose(self, context):
+        if not self._pending:
+            t, n = context.round_number, context.outputs.shape[0]
+            plans = self._adversary.ensemble_plans(t, n, [list(context.history)])
+            plan = plans[0] if plans is not None else self._adversary.ensemble_plan(t, n)
+            start = Configuration(
+                states=tuple(context.states),
+                outputs=np.asarray(context.outputs, dtype=float),
+                round_number=t - 1,
+            )
+            best, best_diameter = None, -1.0
+            for candidate in plan.candidates:
+                final, _ = run_from_configuration(
+                    context.algorithm, start, list(candidate), use_fast_path=False
+                )
+                if final.output_diameter() > best_diameter + 1e-15:
+                    best, best_diameter = candidate, final.output_diameter()
+            self._pending = list(best[: plan.commit_rounds])
+        return self._pending.pop(0)
 
 
 def _values(batch, n, d=1, seed=0):
@@ -65,13 +108,13 @@ def _values(batch, n, d=1, seed=0):
 
 class TestBatchedAdversaryChoices:
     CASES = [
-        # (adversary factory taking use_batch, algorithm factory, n, rounds)
-        (lambda ub: GreedyDiameterAdversary(deaf_model(n=4), use_batch=ub), MidpointAlgorithm, 4, 8),
-        (lambda ub: LookaheadDiameterAdversary(deaf_model(n=3), 2, use_batch=ub), MidpointAlgorithm, 3, 6),
-        (lambda ub: TwoAgentAdversary(use_batch=ub), TwoAgentThirdsAlgorithm, 2, 12),
-        (lambda ub: PsiBlockAdversary(5, use_batch=ub), MidpointAlgorithm, 5, 10),
-        (lambda ub: PsiBlockAdversary(5, use_batch=ub), AmortizedMidpointAlgorithm, 5, 9),
-        (lambda ub: GreedyDiameterAdversary(deaf_model(n=4), use_batch=ub), MeanAlgorithm, 4, 7),
+        # (adversary factory, algorithm factory, n, rounds)
+        (lambda: GreedyDiameterAdversary(deaf_model(n=4)), MidpointAlgorithm, 4, 8),
+        (lambda: LookaheadDiameterAdversary(deaf_model(n=3), 2), MidpointAlgorithm, 3, 6),
+        (TwoAgentAdversary, TwoAgentThirdsAlgorithm, 2, 12),
+        (lambda: PsiBlockAdversary(5), MidpointAlgorithm, 5, 10),
+        (lambda: PsiBlockAdversary(5), AmortizedMidpointAlgorithm, 5, 9),
+        (lambda: GreedyDiameterAdversary(deaf_model(n=4)), MeanAlgorithm, 4, 7),
     ]
 
     @pytest.mark.parametrize("use_fast_path", [True, False, None])
@@ -80,12 +123,12 @@ class TestBatchedAdversaryChoices:
         make_adversary, make_algorithm, n, rounds = self.CASES[case_index]
         values = list(np.linspace(0.0, 1.0, n) + np.arange(n) % 3)
         batched = run_execution(
-            make_algorithm(), values, make_adversary(True), rounds,
+            make_algorithm(), values, make_adversary(), rounds,
             use_fast_path=use_fast_path,
         )
         reference = run_execution(
-            make_algorithm(), values, make_adversary(False), rounds,
-            use_fast_path=use_fast_path,
+            make_algorithm(), values, _ReferenceLoop(make_adversary()), rounds,
+            use_fast_path=False,
         )
         assert batched.graphs == reference.graphs
         for lhs, rhs in zip(batched.configurations, reference.configurations):
@@ -102,14 +145,18 @@ class TestBatchedAdversaryChoices:
         assert empirical_contraction_rate(execution) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_theorem_3_reference_execution(self):
-        # The Theorem 3 adversary plays sigma blocks; batched and reference
-        # block picks must agree including the recorded deaf-agent choices.
+        # The Theorem 3 adversary plays sigma blocks; its block picks on the
+        # fast path (one stacked pass) and on the per-agent path (one
+        # simulation per candidate block) must agree including the recorded
+        # deaf-agent choices.
         n, rounds = 5, 12
         values = [0.0, 1.0, 2.0, 3.0, 4.0]
-        batched_adversary = PsiBlockAdversary(n, use_batch=True)
-        reference_adversary = PsiBlockAdversary(n, use_batch=False)
+        batched_adversary = PsiBlockAdversary(n)
+        reference_adversary = PsiBlockAdversary(n)
         batched = run_execution(MidpointAlgorithm(), values, batched_adversary, rounds)
-        reference = run_execution(MidpointAlgorithm(), values, reference_adversary, rounds)
+        reference = run_execution(
+            MidpointAlgorithm(), values, reference_adversary, rounds, use_fast_path=False
+        )
         assert batched.graphs == reference.graphs
         assert batched_adversary.chosen_blocks == reference_adversary.chosen_blocks
 
@@ -266,11 +313,11 @@ class TestHistoryDependentAdversary:
         values = list(np.linspace(0.0, 1.0, 5))
         batched = run_execution(
             MidpointAlgorithm(), values,
-            GreedyDiameterAdversary(model, use_batch=True, avoid_repeat=True), 10,
+            GreedyDiameterAdversary(model, avoid_repeat=True), 10,
         )
         reference = run_execution(
             MidpointAlgorithm(), values,
-            GreedyDiameterAdversary(model, use_batch=False, avoid_repeat=True), 10,
+            _ReferenceLoop(GreedyDiameterAdversary(model, avoid_repeat=True)), 10,
             use_fast_path=False,
         )
         assert batched.graphs == reference.graphs
@@ -500,7 +547,7 @@ class TestChunkedReductions:
         rng = np.random.default_rng(2)
         adjacency, values = self._case(rng, (16, 48, 48), (16, 48, 1))
         outside = masked_min_max(adjacency, values)
-        with EngineConfig(use_fast_path=False, use_packed=False, scenario_chunk=1, threads=2):
+        with EngineConfig(seed=3, scenario_chunk=1, threads=2):
             inside = masked_min_max(adjacency, values)
         assert current_engine_config() == EngineConfig()
         for got, want in zip(inside, outside):

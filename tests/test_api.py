@@ -2,10 +2,10 @@
 
 Three contracts are enforced:
 
-* **Config-route equivalence** — every `Study` configuration (fast path ×
-  batch on/off × packed α kernels × valency chunking × threads) is
-  bit-for-bit identical to the direct engine call it compiles to, executed
-  under the same `EngineConfig`.
+* **Config-route equivalence** — every `Study` configuration (seed ×
+  valency chunking × threads) is bit-for-bit identical to the direct engine
+  call it compiles to, executed under the same `EngineConfig`, and the
+  recorded provenance names the path that actually ran.
 * **EngineConfig semantics** — exception-safe restore, nesting (innermost
   wins), thread-local isolation, and validation errors.
 * **Shape validation** — mismatched `(B, n, d)` / `(C, n, n)` inputs raise
@@ -20,10 +20,12 @@ import pytest
 
 from repro.algorithms import (
     AmortizedMidpointAlgorithm,
+    FloodingExactConsensus,
     MidpointAlgorithm,
 )
 from repro.algorithms import base as algorithms_base
 from repro.algorithms.base import (
+    ConvexCombinationAlgorithm,
     masked_min,
     masked_min_max,
 )
@@ -41,6 +43,15 @@ from repro.execution import (
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from repro.types import diameter
+
+
+class _PerAgentMidpoint(ConvexCombinationAlgorithm):
+    """Midpoint rule without batch hooks: every route takes its per-agent loop."""
+
+    def combine(self, agent_id, received, round_number):
+        values = np.vstack(list(received.values()))
+        return (values.min(axis=0) + values.max(axis=0)) / 2.0
 
 
 def _pattern(n):
@@ -104,20 +115,20 @@ class TestEngineConfig:
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with EngineConfig(use_batch=False, scenario_chunk=2):
+            with EngineConfig(seed=3, scenario_chunk=2):
                 assert current_engine_config().scenario_chunk == 2
                 raise RuntimeError("boom")
         assert current_engine_config() == EngineConfig()
 
     def test_nesting_innermost_wins(self):
-        with EngineConfig(use_fast_path=False, use_batch=False):
-            with EngineConfig(use_batch=True):
+        with EngineConfig(scenario_chunk=8, seed=1):
+            with EngineConfig(seed=2):
                 merged = current_engine_config()
-                assert merged.use_fast_path is False  # inherited from outer
-                assert merged.use_batch is True  # overridden by inner
+                assert merged.scenario_chunk == 8  # inherited from outer
+                assert merged.seed == 2  # overridden by inner
             merged = current_engine_config()
-            assert merged.use_batch is False
-        assert current_engine_config().use_batch is None
+            assert merged.seed == 1
+        assert current_engine_config().seed is None
 
     def test_shared_instance_across_threads_restores_correctly(self):
         # One EngineConfig object entered concurrently from two threads must
@@ -153,9 +164,9 @@ class TestEngineConfig:
 
         def worker():
             # The main thread's active config must not leak into this thread.
-            seen["config"] = current_engine_config().use_fast_path
+            seen["config"] = current_engine_config().seed
 
-        with EngineConfig(use_fast_path=False):
+        with EngineConfig(seed=11):
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
@@ -163,26 +174,32 @@ class TestEngineConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            EngineConfig(use_fast_path="yes")
-        with pytest.raises(TypeError):
-            EngineConfig(reduction_impl="dense")  # removed: kernels follow the shape
+            EngineConfig(seed="yes")
+        # Removed: kernels follow the shape, paths follow the algorithm.
+        for removed in ("reduction_impl", "use_fast_path", "use_batch", "use_packed"):
+            with pytest.raises(TypeError):
+                EngineConfig(**{removed: False})
         with pytest.raises(ConfigError):
             EngineConfig(scenario_chunk=-1)
 
     def test_use_fast_path_routes_engine(self):
+        # Only the explicit per-call switch selects the per-agent path; no
+        # config scope reaches it.
         values = _single_values(4)
         pattern = _pattern(4)
-        with EngineConfig(use_fast_path=False):
-            slow = run_execution(MidpointAlgorithm(), values, pattern, 5)
-        fast = run_execution(MidpointAlgorithm(), values, pattern, 5)
+        slow = run_execution(MidpointAlgorithm(), values, pattern, 5, use_fast_path=False)
+        with EngineConfig(seed=1, scenario_chunk=1, threads=2):
+            fast = run_execution(MidpointAlgorithm(), values, pattern, 5)
         np.testing.assert_array_equal(slow.output_history(), fast.output_history())
 
     def test_use_batch_false_routes_valency_reference(self):
-        with EngineConfig(use_batch=False):
-            estimator = ValencyEstimator(MidpointAlgorithm(), deaf_model(n=4))
-            assert not estimator._batchable()
-        estimator = ValencyEstimator(MidpointAlgorithm(), deaf_model(n=4))
-        assert estimator._batchable()
+        # The valency path follows the algorithm's batch hooks alone: only an
+        # algorithm without them takes the per-future reference loop.
+        with EngineConfig(scenario_chunk=1, threads=2):
+            assert ValencyEstimator(MidpointAlgorithm(), deaf_model(n=4))._batchable()
+        estimator = ValencyEstimator(FloodingExactConsensus(horizon=3), deaf_model(n=4))
+        assert not estimator._batchable()
+        assert not estimator._batchable_stateful()
 
 
 # --------------------------------------------------------------------------- #
@@ -192,15 +209,15 @@ class TestEngineConfig:
 
 CONFIG_MATRIX = [
     EngineConfig(),
-    EngineConfig(use_fast_path=True),
-    EngineConfig(use_fast_path=False),
-    EngineConfig(use_packed=False),
+    EngineConfig(seed=1),
+    EngineConfig(seed=2, threads=1),
+    EngineConfig(scenario_chunk=1),
     EngineConfig(scenario_chunk=2),
     EngineConfig(threads=2),
-    EngineConfig(use_fast_path=True, use_packed=False, scenario_chunk=1),
-    EngineConfig(use_batch=False),
-    EngineConfig(use_batch=True),
-    EngineConfig(use_batch=False, use_fast_path=False, threads=2),
+    EngineConfig(seed=3, scenario_chunk=1, threads=3),
+    EngineConfig(threads=4),
+    EngineConfig(seed=4, scenario_chunk=7),
+    EngineConfig(seed=5, scenario_chunk=3, threads=2),
 ]
 
 
@@ -226,8 +243,7 @@ class TestStudyRouteEquivalence:
             result.execution.output_history(), direct.output_history()
         )
         assert result.provenance.route == "run_execution"
-        if config.use_fast_path is not None:
-            assert result.provenance.fast_path == config.use_fast_path
+        assert result.provenance.fast_path is True
 
     @pytest.mark.parametrize("config_index", range(len(CONFIG_MATRIX)))
     def test_pattern_ensemble_route(self, config_index):
@@ -246,9 +262,8 @@ class TestStudyRouteEquivalence:
             result.execution.recorded_outputs, direct.recorded_outputs
         )
         assert result.provenance.route == "run_pattern_ensemble"
-        assert result.provenance.batched == direct.batched
-        if config.use_batch is not None:
-            assert result.provenance.batched == config.use_batch
+        assert result.provenance.batched == direct.batched is True
+        assert result.provenance.fast_path is True
 
     @pytest.mark.parametrize("config_index", range(len(CONFIG_MATRIX)))
     def test_adversarial_ensemble_route(self, config_index):
@@ -300,13 +315,17 @@ class TestStudyRouteEquivalence:
         )
         assert result.execution.graphs == graphs
 
-    @pytest.mark.parametrize("use_batch", [True, False])
-    def test_certification_route(self, use_batch):
+    @pytest.mark.parametrize("batch_hooks", [True, False])
+    def test_certification_route(self, batch_hooks):
+        # With batch hooks the certificate comes from the stacked valency
+        # path; without them (the same midpoint rule, per agent) from the
+        # per-future reference loop.
         model = deaf_model(n=4)
         values = _single_values(4, seed=6)
-        config = EngineConfig(use_batch=use_batch)
+        make_algorithm = MidpointAlgorithm if batch_hooks else _PerAgentMidpoint
+        config = EngineConfig(scenario_chunk=3)
         result = Study(
-            algorithm=MidpointAlgorithm(),
+            algorithm=make_algorithm(),
             model=model,
             initial_values=values,
             adversary=GreedyDiameterAdversary(model),
@@ -314,13 +333,15 @@ class TestStudyRouteEquivalence:
             certify=CertifySpec(suffix_rounds=25, exploration_depth=1),
             config=config,
         ).run()
-        with EngineConfig(use_batch=use_batch):
+        assert result.provenance.fast_path is batch_hooks
+        with EngineConfig(scenario_chunk=3):
             direct = run_execution(
-                MidpointAlgorithm(), values, GreedyDiameterAdversary(model), 6
+                make_algorithm(), values, GreedyDiameterAdversary(model), 6
             )
             estimator = ValencyEstimator(
-                MidpointAlgorithm(), model, suffix_rounds=25, exploration_depth=1
+                make_algorithm(), model, suffix_rounds=25, exploration_depth=1
             )
+            assert estimator._batchable() is batch_hooks
             estimates = estimator.trace(direct.configurations)
         assert result.certificates is not None
         assert result.certificates.valency_trace == [
@@ -344,15 +365,51 @@ class TestStudyRouteEquivalence:
             rounds=6,
             certify=CertifySpec(suffix_rounds=20),
         ).run()
-        reference = Study(
-            algorithm=AmortizedMidpointAlgorithm(),
-            model=model,
-            initial_values=values,
-            adversary=PsiBlockAdversary(4),
-            rounds=6,
-            certify=CertifySpec(suffix_rounds=20, use_batch=False),
-        ).run()
-        assert batched.certificates.valency_trace == reference.certificates.valency_trace
+        estimator = ValencyEstimator(AmortizedMidpointAlgorithm(), model, suffix_rounds=20)
+        assert estimator._batchable_stateful()
+        reference_trace = [
+            diameter(estimator._limit_estimates_reference(configuration))
+            for configuration in batched.execution.configurations
+        ]
+        assert batched.certificates.valency_trace == reference_trace
+
+
+class TestProvenanceFastPath:
+    """``provenance.fast_path`` names the path that ran, on every route."""
+
+    ROUTES = ("run_execution", "run_ensemble", "run_pattern_ensemble", "run_adversarial_ensemble")
+
+    @staticmethod
+    def _study(make_algorithm, route):
+        n = 4
+        if route == "run_execution":
+            values, source = _single_values(n, seed=8), {"pattern": _pattern(n), "rounds": 5}
+        else:
+            values = _ensemble_values(4, n, seed=8)
+            source = {
+                "run_ensemble": {"graphs": [complete_graph(n), cycle_graph(n)] * 2},
+                "run_pattern_ensemble": {"pattern": _pattern(n), "rounds": 5},
+                "run_adversarial_ensemble": {
+                    "adversary": GreedyDiameterAdversary(deaf_model(n=n)),
+                    "rounds": 5,
+                },
+            }[route]
+        return Study(algorithm=make_algorithm(), initial_values=values, **source).run()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize(
+        "make_algorithm, batch_hooks",
+        [(MidpointAlgorithm, True), (lambda: FloodingExactConsensus(horizon=3), False)],
+        ids=["midpoint", "flooding"],
+    )
+    def test_fast_path_matches_what_ran(self, make_algorithm, batch_hooks, route):
+        provenance = self._study(make_algorithm, route).provenance
+        assert provenance.route == route
+        assert provenance.fast_path is batch_hooks
+        if route == "run_execution":
+            assert provenance.batched is None
+        else:
+            assert provenance.batched is batch_hooks
 
 
 # --------------------------------------------------------------------------- #

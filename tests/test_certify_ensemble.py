@@ -32,6 +32,7 @@ from repro.execution import run_ensemble, run_execution, run_pattern_ensemble
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern, SequencePattern
 from repro.models.standard import deaf_model, psi_model
+from tests.test_valency_batch import ReferenceEstimator
 
 
 def _values(batch_size, n, d=1, seed=0):
@@ -158,9 +159,8 @@ class TestCertifyEnsemble:
         ensemble = run_pattern_ensemble(
             algorithm, values, _pattern(n), rounds, record_every=2, record_states=True
         )
-        estimator = ValencyEstimator(
-            algorithm, model, suffix_rounds=15, exploration_depth=1, use_batch=use_batch
-        )
+        make_estimator = ValencyEstimator if use_batch else ReferenceEstimator
+        estimator = make_estimator(algorithm, model, suffix_rounds=15, exploration_depth=1)
         per_scenario = estimator.certify_ensemble(ensemble)
         assert len(per_scenario) == batch_size
         for scenario in range(batch_size):
@@ -180,9 +180,8 @@ class TestCertifyEnsemble:
         ensemble = run_pattern_ensemble(
             algorithm, values, _pattern(n), rounds, record_states=True
         )
-        estimator = ValencyEstimator(
-            algorithm, model, suffix_rounds=12, use_batch=use_batch
-        )
+        make_estimator = ValencyEstimator if use_batch else ReferenceEstimator
+        estimator = make_estimator(algorithm, model, suffix_rounds=12)
         per_scenario = estimator.certify_ensemble(ensemble)
         for scenario in range(batch_size):
             solo = estimator.trace(ensemble.scenario_configurations(scenario))
@@ -405,8 +404,8 @@ class TestStateFixpointHook:
             [complete_graph(n)] * 3,
             record_states=True,
         )
-        batched = ValencyEstimator(algorithm, model, suffix_rounds=25, use_batch=True)
-        reference = ValencyEstimator(algorithm, model, suffix_rounds=25, use_batch=False)
+        batched = ValencyEstimator(algorithm, model, suffix_rounds=25)
+        reference = ReferenceEstimator(algorithm, model, suffix_rounds=25)
         per_batched = batched.certify_ensemble(ensemble)
         per_reference = reference.certify_ensemble(ensemble)
         for scenario in range(2):

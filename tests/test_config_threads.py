@@ -20,32 +20,30 @@ from repro.config import (
     EngineConfig,
     current_engine_config,
     resolve_scenario_chunk,
+    resolve_seed,
     resolve_threads,
-    resolve_use_batch,
-    resolve_use_fast_path,
-    resolve_use_packed,
 )
 
 
 class TestNesting:
     def test_innermost_field_wins_and_restores(self):
-        with EngineConfig(use_batch=False, scenario_chunk=128):
-            assert resolve_use_batch(None) is False
+        with EngineConfig(seed=5, scenario_chunk=128):
+            assert resolve_seed(None) == 5
             assert resolve_scenario_chunk(None) == 128
-            with EngineConfig(use_batch=True):
+            with EngineConfig(seed=9):
                 # Inner block overrides one field, inherits the other.
-                assert resolve_use_batch(None) is True
+                assert resolve_seed(None) == 9
                 assert resolve_scenario_chunk(None) == 128
-            assert resolve_use_batch(None) is False
-        assert resolve_use_batch(None) is True  # library default
+            assert resolve_seed(None) == 5
+        assert resolve_seed(None) == 0  # library default
         assert resolve_scenario_chunk(None) == 4096
 
     def test_merged_view_reflects_nesting(self):
-        with EngineConfig(use_fast_path=False, use_packed=False):
-            with EngineConfig(use_fast_path=True):
+        with EngineConfig(seed=1, scenario_chunk=16):
+            with EngineConfig(seed=2):
                 merged = current_engine_config()
-                assert merged.use_fast_path is True
-                assert merged.use_packed is False
+                assert merged.seed == 2
+                assert merged.scenario_chunk == 16
 
     def test_reduction_fields_apply_and_restore_on_raise(self, monkeypatch):
         # ``threads`` is the field that reaches the masked reduction, through
@@ -89,10 +87,10 @@ class TestNesting:
             assert kernels_run() == {"packed"}
 
     def test_explicit_argument_beats_active_config(self):
-        with EngineConfig(use_batch=False, use_packed=False):
-            assert resolve_use_batch(True) is True
-            assert resolve_use_packed(True) is True
-            assert resolve_use_fast_path(False) is False
+        with EngineConfig(seed=4, scenario_chunk=8, threads=2):
+            assert resolve_seed(7) == 7
+            assert resolve_scenario_chunk(32) == 32
+            assert resolve_threads(1) == 1
 
 
 class TestThreadLocality:
@@ -101,38 +99,36 @@ class TestThreadLocality:
         observed = {}
         errors = []
 
-        def worker(name, use_batch, use_packed, chunk):
+        def worker(name, seed, threads, chunk):
             try:
-                with EngineConfig(
-                    use_batch=use_batch, use_packed=use_packed, scenario_chunk=chunk
-                ):
+                with EngineConfig(seed=seed, threads=threads, scenario_chunk=chunk):
                     barrier.wait(timeout=10)  # both threads inside their blocks
                     observed[name] = (
-                        resolve_use_batch(None),
-                        resolve_use_packed(None),
+                        resolve_seed(None),
+                        resolve_threads(None),
                         resolve_scenario_chunk(None),
                     )
                     barrier.wait(timeout=10)  # hold until both observed
                 observed[name + "-after"] = (
-                    resolve_use_batch(None),
-                    resolve_use_packed(None),
+                    resolve_seed(None),
+                    resolve_scenario_chunk(None),
                 )
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=worker, args=("a", False, False, 64)),
-            threading.Thread(target=worker, args=("b", True, True, 256)),
+            threading.Thread(target=worker, args=("a", 3, 2, 64)),
+            threading.Thread(target=worker, args=("b", 8, 3, 256)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
         assert not errors
-        assert observed["a"] == (False, False, 64)
-        assert observed["b"] == (True, True, 256)
-        assert observed["a-after"] == (True, True)
-        assert observed["b-after"] == (True, True)
+        assert observed["a"] == (3, 2, 64)
+        assert observed["b"] == (8, 3, 256)
+        assert observed["a-after"] == (0, 4096)
+        assert observed["b-after"] == (0, 4096)
 
     def test_one_shared_config_entered_from_two_threads(self):
         # One EngineConfig *instance* entered concurrently must keep each

@@ -47,6 +47,10 @@ from repro.graphs.properties import (
     roots,
 )
 from repro.graphs.relations import (
+    _alpha_classes_reference,
+    _alpha_diameter_reference,
+    _alpha_step_graph_reference,
+    _beta_classes_reference,
     alpha_classes,
     alpha_diameter,
     alpha_related,
@@ -213,7 +217,7 @@ def test_alpha_witness_tensor_matches_per_witness_reference():
 def test_alpha_step_graph_packed_equals_reference(use_union_form):
     for graphs in _models():
         packed = alpha_step_graph(graphs, use_union_form=use_union_form)
-        reference = alpha_step_graph(graphs, use_union_form=use_union_form, use_packed=False)
+        reference = _alpha_step_graph_reference(graphs, use_union_form=use_union_form)
         assert packed == reference
 
 
@@ -221,19 +225,19 @@ def test_alpha_step_graph_packed_equals_reference(use_union_form):
 def test_alpha_and_beta_classes_packed_equal_reference(use_union_form):
     for graphs in _models():
         assert set(alpha_classes(graphs, use_union_form=use_union_form)) == set(
-            alpha_classes(graphs, use_union_form=use_union_form, use_packed=False)
+            _alpha_classes_reference(graphs, use_union_form=use_union_form)
         )
         assert set(beta_classes(graphs, use_union_form=use_union_form)) == set(
-            beta_classes(graphs, use_union_form=use_union_form, use_packed=False)
+            _beta_classes_reference(graphs, use_union_form=use_union_form)
         )
 
 
 @pytest.mark.parametrize("use_union_form", [False, True])
 def test_alpha_diameter_packed_equals_reference(use_union_form):
     for graphs in _models():
-        assert alpha_diameter(graphs, use_union_form=use_union_form) == alpha_diameter(
-            graphs, use_union_form=use_union_form, use_packed=False
-        )
+        assert alpha_diameter(
+            graphs, use_union_form=use_union_form
+        ) == _alpha_diameter_reference(graphs, use_union_form=use_union_form)
 
 
 def test_alpha_diameter_packed_disconnected_is_infinite():
@@ -242,14 +246,14 @@ def test_alpha_diameter_packed_disconnected_is_infinite():
     g1 = CommunicationGraph(4, edges=[(0, 1), (1, 2), (2, 3)], name="chain")
     g2 = complete_graph(4)
     value = alpha_diameter([g1, g2])
-    assert value == alpha_diameter([g1, g2], use_packed=False)
+    assert value == _alpha_diameter_reference([g1, g2])
 
 
 def test_alpha_classes_psi32_vectorized_matches_reference():
     graphs = psi_family(32)
-    assert set(alpha_classes(graphs)) == set(alpha_classes(graphs, use_packed=False))
-    assert set(beta_classes(graphs)) == set(beta_classes(graphs, use_packed=False))
-    assert alpha_diameter(graphs) == alpha_diameter(graphs, use_packed=False)
+    assert set(alpha_classes(graphs)) == set(_alpha_classes_reference(graphs))
+    assert set(beta_classes(graphs)) == set(_beta_classes_reference(graphs))
+    assert alpha_diameter(graphs) == _alpha_diameter_reference(graphs)
 
 
 # --------------------------------------------------------------------------- #
@@ -453,8 +457,8 @@ def test_alpha_machinery_uses_graph_bitset_caches():
     # partitions while reading packed rows from the graphs' caches.
     rng = np.random.default_rng(13)
     graphs = [random_graph(7, rng, 0.4) for _ in range(5)]
-    packed_classes = alpha_classes(graphs, use_packed=True)
-    reference_classes = alpha_classes(graphs, use_packed=False)
+    packed_classes = alpha_classes(graphs)
+    reference_classes = _alpha_classes_reference(graphs)
     assert packed_classes == reference_classes
     for graph in graphs:
         assert graph._packed_receive is not None  # cache was populated

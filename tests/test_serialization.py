@@ -272,19 +272,13 @@ def test_fault_plan_version_gate():
 def test_engine_config_roundtrip():
     configs = [
         EngineConfig(),
-        EngineConfig(use_fast_path=True, seed=7),
-        EngineConfig(
-            use_batch=False,
-            use_packed=False,
-            scenario_chunk=64,
-            threads=2,
-        ),
+        EngineConfig(seed=7),
+        EngineConfig(scenario_chunk=64, threads=2),
     ]
     for config in configs:
         assert EngineConfig.from_dict(roundtrip(config.to_dict())) == config
     assert sorted(EngineConfig().to_dict()) == sorted(
-        ["__type__", "version", "use_fast_path", "use_batch", "use_packed",
-         "scenario_chunk", "seed", "threads"]
+        ["__type__", "version", "scenario_chunk", "seed", "threads"]
     )
 
 
@@ -305,14 +299,42 @@ def test_engine_config_rejects_unknown_fields():
 
 
 REMOVED_REDUCTION_FIELDS = ("reduction_impl", "reduction_batch_chunk", "reduction_receiver_chunk")
+REMOVED_PATH_FIELDS = ("use_fast_path", "use_batch", "use_packed")
 
 
 def test_engine_config_reads_v1_payloads_with_null_reduction_fields():
     # Version-1 journals written before the reduction knobs were removed
     # carry them as null; they decode to the same config.
-    payload = EngineConfig(use_batch=False, seed=3).to_dict()
+    payload = EngineConfig(scenario_chunk=16, seed=3).to_dict()
     payload.update({name: None for name in REMOVED_REDUCTION_FIELDS})
-    assert EngineConfig.from_dict(roundtrip(payload)) == EngineConfig(use_batch=False, seed=3)
+    assert EngineConfig.from_dict(roundtrip(payload)) == EngineConfig(
+        scenario_chunk=16, seed=3
+    )
+
+
+def test_engine_config_reads_v1_payloads_with_null_path_fields():
+    # Journals written while the path switches existed carry all six
+    # removed fields, unset ones as null; they decode to the same config.
+    payload = EngineConfig(seed=3, threads=2).to_dict()
+    payload.update({name: None for name in REMOVED_REDUCTION_FIELDS + REMOVED_PATH_FIELDS})
+    assert EngineConfig.from_dict(roundtrip(payload)) == EngineConfig(seed=3, threads=2)
+
+
+@pytest.mark.parametrize(
+    "name,value,reason",
+    [
+        ("use_fast_path", False, "batch hooks"),
+        ("use_batch", True, "batch hooks"),
+        ("use_packed", False, "packed kernels"),
+        ("reduction_impl", "dense", "input shape"),
+    ],
+    ids=["use_fast_path", "use_batch", "use_packed", "reduction_impl"],
+)
+def test_engine_config_names_the_removal_reason(name, value, reason):
+    payload = EngineConfig().to_dict()
+    payload[name] = value
+    with pytest.raises(SerializationError, match=f"{name}.*{reason}"):
+        EngineConfig.from_dict(payload)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +346,20 @@ def test_engine_config_rejects_set_reduction_fields(name, value):
     payload[name] = value
     with pytest.raises(SerializationError, match=name):
         EngineConfig.from_dict(payload)
+
+
+def test_certify_spec_reads_v1_payloads_with_null_use_batch():
+    payload = CertifySpec(suffix_rounds=20).to_dict()
+    payload["use_batch"] = None
+    assert CertifySpec.from_dict(roundtrip(payload)) == CertifySpec(suffix_rounds=20)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_certify_spec_rejects_set_use_batch(value):
+    payload = CertifySpec().to_dict()
+    payload["use_batch"] = value
+    with pytest.raises(SerializationError, match="use_batch.*batch hooks"):
+        CertifySpec.from_dict(payload)
 
 
 def scenario_spec_grid():
@@ -379,9 +415,12 @@ def test_adversarial_spec_is_rejected():
 
 
 def test_certify_spec_roundtrip_nested_in_study_payload():
-    certify = CertifySpec(suffix_rounds=20, exploration_depth=1, use_batch=False)
+    certify = CertifySpec(suffix_rounds=20, exploration_depth=1, scenario_chunk=8)
     back = CertifySpec.from_dict(roundtrip(certify.to_dict()))
     assert back == certify
+    assert sorted(certify.to_dict()) == sorted(
+        ["__type__", "version", "suffix_rounds", "exploration_depth", "scenario_chunk"]
+    )
     # Nested inside a certified study result the spec's effect (the
     # estimates) round-trips bit-for-bit.
     model = two_agent_model()

@@ -2,7 +2,8 @@
 
 The batched :class:`~repro.core.valency.ValencyEstimator` must produce
 bit-for-bit identical estimates to the per-sequence reference loop
-(``use_batch=False``): identical ``limits`` arrays, identical diameter
+(:class:`ReferenceEstimator`, the estimator pinned to the loop it takes for
+algorithms without batch hooks): identical ``limits`` arrays, identical diameter
 bounds, identical traces, identical intersection verdicts — across
 algorithms, models, exploration depths, value dimensions and streaming
 chunk sizes.
@@ -21,16 +22,28 @@ from repro.algorithms import (
     TwoAgentThirdsAlgorithm,
 )
 from repro.analysis import run_certification_sweep
+from repro.api import CertifySpec
 from repro.core.adversary import GreedyDiameterAdversary, PsiBlockAdversary
 from repro.core.contraction import valency_contraction_trace
 from repro.core.valency import ValencyEstimator
+from repro.exceptions import ConfigError
 from repro.execution.engine import initial_configuration, run_execution
 from repro.models.standard import deaf_model, psi_model, two_agent_model
 
 
+class ReferenceEstimator(ValencyEstimator):
+    """The estimator pinned to its per-future reference loop."""
+
+    def _batchable(self):
+        return False
+
+    def _batchable_stateful(self):
+        return False
+
+
 def _estimators(algorithm, model, **kwargs):
-    batched = ValencyEstimator(algorithm, model, use_batch=True, **kwargs)
-    reference = ValencyEstimator(algorithm, model, use_batch=False, **kwargs)
+    batched = ValencyEstimator(algorithm, model, **kwargs)
+    reference = ReferenceEstimator(algorithm, model, **kwargs)
     return batched, reference
 
 
@@ -77,8 +90,8 @@ def test_streamed_prefix_chunks_do_not_change_results(chunk):
     batched = ValencyEstimator(
         algorithm, model, suffix_rounds=25, exploration_depth=2, scenario_chunk=chunk
     )
-    reference = ValencyEstimator(
-        algorithm, model, suffix_rounds=25, exploration_depth=2, use_batch=False
+    reference = ReferenceEstimator(
+        algorithm, model, suffix_rounds=25, exploration_depth=2
     )
     assert np.array_equal(
         batched.limit_estimates(configuration), reference.limit_estimates(configuration)
@@ -139,7 +152,6 @@ def test_trace_empty_and_contraction_trace_equivalence():
         rounds=5,
         suffix_rounds=30,
         exploration_depth=1,
-        use_batch=True,
     )
     trace_reference = valency_contraction_trace(
         algorithm,
@@ -147,9 +159,9 @@ def test_trace_empty_and_contraction_trace_equivalence():
         GreedyDiameterAdversary(model),
         np.linspace(0.0, 1.0, 4),
         rounds=5,
-        suffix_rounds=30,
-        exploration_depth=1,
-        use_batch=False,
+        estimator=ReferenceEstimator(
+            algorithm, model, suffix_rounds=30, exploration_depth=1
+        ),
     )
     assert trace_batched == trace_reference
 
@@ -182,7 +194,7 @@ def test_stateful_algorithm_takes_batch_state_path():
 
 
 class TestStatefulBatchStatePath:
-    """ValencyEstimator(use_batch=True) covers stateful algorithms via batch_state."""
+    """ValencyEstimator covers stateful algorithms via batch_state."""
 
     @pytest.mark.parametrize("depth", [0, 1])
     def test_mid_phase_configurations_bit_for_bit(self, depth):
@@ -223,8 +235,8 @@ class TestStatefulBatchStatePath:
         algorithm = AmortizedMidpointAlgorithm()
         model = psi_model(4)
         configuration = initial_configuration(algorithm, np.linspace(0.0, 1.0, 4))
-        reference = ValencyEstimator(
-            algorithm, model, suffix_rounds=15, exploration_depth=2, use_batch=False
+        reference = ReferenceEstimator(
+            algorithm, model, suffix_rounds=15, exploration_depth=2
         )
         expected = reference.limit_estimates(configuration)
         for chunk in (1, 2, 5, 4096):
@@ -250,11 +262,11 @@ class TestStatefulBatchStatePath:
         model = psi_model(4)
         trace_batched = valency_contraction_trace(
             algorithm, model, PsiBlockAdversary(4), np.linspace(0.0, 1.0, 4),
-            rounds=5, suffix_rounds=20, use_batch=True,
+            rounds=5, suffix_rounds=20,
         )
         trace_reference = valency_contraction_trace(
             algorithm, model, PsiBlockAdversary(4), np.linspace(0.0, 1.0, 4),
-            rounds=5, suffix_rounds=20, use_batch=False,
+            rounds=5, estimator=ReferenceEstimator(algorithm, model, suffix_rounds=20),
         )
         assert trace_batched == trace_reference
 
@@ -309,12 +321,23 @@ def test_mid_execution_configurations_bit_for_bit():
 
 def test_estimator_parameter_validation():
     algorithm, model = MidpointAlgorithm(), deaf_model(n=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ValencyEstimator(algorithm, model, suffix_rounds=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ValencyEstimator(algorithm, model, exploration_depth=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ValencyEstimator(algorithm, model, scenario_chunk=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("suffix_rounds", 0), ("exploration_depth", -1), ("scenario_chunk", 0)],
+)
+def test_certify_spec_validates_at_construction(field, value):
+    # A bad certification request fails when it is declared, with the
+    # structured error, before any execution runs.
+    with pytest.raises(ConfigError, match=field):
+        CertifySpec(**{field: value})
 
 
 def test_certification_sweep_certifies_theorems():
@@ -331,11 +354,13 @@ def test_certification_sweep_certifies_theorems():
     assert all(row["alpha_diameter"] >= 1.0 for row in psi_rows)
 
 
-def test_certification_sweep_batch_matches_reference():
-    batched = run_certification_sweep(sizes=(4,), rounds=8, suffix_rounds=20, use_batch=True)
-    reference = run_certification_sweep(
-        sizes=(4,), rounds=8, suffix_rounds=20, use_batch=False
+def test_certification_sweep_batch_matches_reference(monkeypatch):
+    batched = run_certification_sweep(sizes=(4,), rounds=8, suffix_rounds=20)
+    monkeypatch.setattr(ValencyEstimator, "_batchable", ReferenceEstimator._batchable)
+    monkeypatch.setattr(
+        ValencyEstimator, "_batchable_stateful", ReferenceEstimator._batchable_stateful
     )
+    reference = run_certification_sweep(sizes=(4,), rounds=8, suffix_rounds=20)
     for row_b, row_r in zip(batched, reference):
         assert row_b["output_rate"] == row_r["output_rate"]
         assert row_b["valency_lower_rate"] == row_r["valency_lower_rate"]
