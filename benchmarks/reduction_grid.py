@@ -1,4 +1,4 @@
-"""Measure the dense/packed masked-reduction crossover over a (lead, n, d) grid.
+"""Measure the dense/rank masked-reduction crossover over a (lead, n, d) grid.
 
 The masked reductions pick their kernel from the input shape alone
 (``repro.algorithms.base._select_kernel``); this script re-measures the grid
@@ -7,7 +7,7 @@ faulted pattern the benchmark workloads run -- ``K_n``, the cycle ``C_n`` and
 the directed star, each stacked over the lead axis with 20 % of the
 non-self edges dropped per scenario -- because the dense kernel's cost
 depends on the mask (structured masks run several times faster than
-unstructured random ones), while the packed kernel's barely does.  It
+unstructured random ones), while the rank kernel's barely does.  It
 prints, per point, both kernels' best time per call, the kernel the rule
 selects, and how much slower the selection is than the faster kernel.
 
@@ -56,7 +56,7 @@ def measure(lead: int, n: int, d: int) -> dict:
     """Best time per call of each kernel, averaged over the pattern's graphs."""
     rng = np.random.default_rng((lead, n, d))
     values = rng.uniform(-1.0, 1.0, size=(lead, n, d))
-    dense_s = packed_s = 0.0
+    dense_s = rank_s = 0.0
     families = (complete_graph, cycle_graph, directed_star_graph)
     for family in families:
         adjacency = np.broadcast_to(family(n).adjacency, (lead, n, n)).copy()
@@ -64,18 +64,18 @@ def measure(lead: int, n: int, d: int) -> dict:
         drop[:, np.arange(n), np.arange(n)] = False
         operands = base._reduction_operands(adjacency & ~drop, values, values)
         dense_s += _best_of(lambda: base._masked_extremes_dense(*operands))
-        packed_s += _best_of(lambda: base._masked_extremes_packed(*operands))
-    dense_ms, packed_ms = dense_s * 1e3 / len(families), packed_s * 1e3 / len(families)
+        rank_s += _best_of(lambda: base._masked_extremes_rank(*operands))
+    dense_ms, rank_ms = dense_s * 1e3 / len(families), rank_s * 1e3 / len(families)
     selected = base._select_kernel(lead, n, d, False)
-    selected_ms = packed_ms if selected is base._masked_extremes_packed else dense_ms
+    selected_ms = rank_ms if selected is base._masked_extremes_rank else dense_ms
     return {
         "lead": lead,
         "n": n,
         "d": d,
         "dense_ms": dense_ms,
-        "packed_ms": packed_ms,
-        "selected": "packed" if selected is base._masked_extremes_packed else "dense",
-        "selected_over_fastest": selected_ms / min(dense_ms, packed_ms),
+        "rank_ms": rank_ms,
+        "selected": "rank" if selected is base._masked_extremes_rank else "dense",
+        "selected_over_fastest": selected_ms / min(dense_ms, rank_ms),
     }
 
 
@@ -100,7 +100,7 @@ def main() -> int:
         rows.append(row)
         print(
             f"lead={lead:4d} n={n:4d} d={d} dense={row['dense_ms']:9.4f}ms "
-            f"packed={row['packed_ms']:9.4f}ms selected={row['selected']:6s} "
+            f"rank={row['rank_ms']:9.4f}ms selected={row['selected']:5s} "
             f"x{row['selected_over_fastest']:.2f}",
             flush=True,
         )

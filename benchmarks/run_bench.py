@@ -9,7 +9,7 @@ contraction traces and packed α-class computation against their per-sequence
 / per-pair reference loops, plus a tracemalloc assertion that the streamed
 prefix enumeration stays below the materialized pass), the peak memory of
 the single-block dense vs the shape-dispatched masked reductions
-(tracemalloc), the dense vs packed reduction kernels, and the
+(tracemalloc), the dense vs rank reduction kernels, and the
 asynchronous ``agreement_time`` sweep, then writes the results to
 ``BENCH_engine.json`` so the performance trajectory is tracked from PR to
 PR.
@@ -40,7 +40,7 @@ from repro.algorithms import MeanAlgorithm, MidpointAlgorithm
 import repro.algorithms.base as algorithms_base
 from repro.algorithms.base import (
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_rank,
     _masked_extremes_scan,
     _reduction_operands,
 )
@@ -315,7 +315,7 @@ def bench_parallel_ensemble(grid, d: int, repeats: int) -> list:
     return results
 
 
-_KERNELS = {"dense": _masked_extremes_dense, "packed": _masked_extremes_packed}
+_KERNELS = {"dense": _masked_extremes_dense, "rank": _masked_extremes_rank}
 
 
 def bench_fused_reduction(grid, repeats: int) -> list:
@@ -324,7 +324,7 @@ def bench_fused_reduction(grid, repeats: int) -> list:
     The fused call resolves the receive mask once for min-on-A / max-on-B
     (the amortized midpoint's per-round pattern, ``masked_extreme_pair``);
     the separate timing pays two resolutions.  Both sides are measured on
-    the dense and the packed kernel.
+    the dense and the rank kernel.
     """
     results = []
     for batch_size, n, d in grid:
@@ -820,10 +820,11 @@ def bench_alpha_classes(grid, repeats: int) -> list:
 
 
 def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> list:
-    """The packed vs the dense kernel, and the sort-and-scan kernel on shared values.
+    """The rank vs the dense kernel, and the sort-and-scan kernel on shared values.
 
-    ``packed_s``/``dense_s`` time the general case (per-scenario values),
-    ``scan_s`` the shared-values case the existing sort-and-scan covers.
+    The family keeps the name of the packed-bit kernel the rank kernel
+    replaced.  ``rank_s``/``dense_s`` time the general case (per-scenario
+    values), ``scan_s`` the shared-values case the sort-and-scan covers.
     tracemalloc peaks are recorded; the timings are deliberately not gated
     (memory-for-time tradeoffs at millisecond scale flake on CI).
     """
@@ -844,27 +845,27 @@ def bench_packed_reduction(batch_size: int, n: int, d: int, repeats: int) -> lis
         _masked_extremes_scan(*shared_operands)
 
     dense_s = _best_of(lambda: general("dense"), repeats)
-    packed_s = _best_of(lambda: general("packed"), repeats)
+    rank_s = _best_of(lambda: general("rank"), repeats)
     scan_s = _best_of(scan, repeats)
     dense_peak = _peak_bytes(lambda: general("dense"))
-    packed_peak = _peak_bytes(lambda: general("packed"))
+    rank_peak = _peak_bytes(lambda: general("rank"))
     entry = {
         "benchmark": "packed_masked_reduction",
         "B": batch_size,
         "n": n,
         "d": d,
         "dense_s": dense_s,
-        "packed_s": packed_s,
+        "rank_s": rank_s,
         "scan_shared_values_s": scan_s,
         "dense_peak_bytes": dense_peak,
-        "packed_peak_bytes": packed_peak,
-        "memory_ratio": dense_peak / packed_peak if packed_peak else float("inf"),
+        "rank_peak_bytes": rank_peak,
+        "memory_ratio": dense_peak / rank_peak if rank_peak else float("inf"),
     }
     print(
-        f"packed-reduce midpoint   B={batch_size:4d} n={n:4d} d={d} "
-        f"dense={dense_s * 1e3:8.2f}ms packed={packed_s * 1e3:8.2f}ms "
+        f"rank-reduce midpoint     B={batch_size:4d} n={n:4d} d={d} "
+        f"dense={dense_s * 1e3:8.2f}ms rank={rank_s * 1e3:8.2f}ms "
         f"scan(shared)={scan_s * 1e3:8.2f}ms mem {dense_peak / 1e6:6.1f}->"
-        f"{packed_peak / 1e6:6.1f}MB ({entry['memory_ratio']:.1f}x)"
+        f"{rank_peak / 1e6:6.1f}MB ({entry['memory_ratio']:.1f}x)"
     )
     return [entry]
 

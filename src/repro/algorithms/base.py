@@ -27,17 +27,17 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import AlgorithmError, EnsembleShapeError
-from repro.types import (
-    as_value,
-    pack_bool_rows,
-    packed_first_last_true,
-    packed_first_true,
-    packed_last_true,
-)
+from repro.types import as_value
 
 #: The dense kernel reduces the leading axis in blocks whose float
 #: intermediate stays below this many elements (1M float64 = 8 MiB).
 _DENSE_BLOCK_ELEMENTS = 1 << 20
+
+#: Float width in bytes -> (signed integer type of that width, its minimum).
+_SIGNED_OF_WIDTH = {
+    width: (int_type, int(np.iinfo(int_type).min))
+    for width, int_type in ((2, np.int16), (4, np.int32), (8, np.int64))
+}
 
 
 def receive_mask(adjacency: np.ndarray) -> np.ndarray:
@@ -60,8 +60,10 @@ def masked_min(adjacency: np.ndarray, values: np.ndarray) -> np.ndarray:
     ``j`` hears a NaN).  This is the one authoritative masked reduction shared
     by the fast-path algorithms and the convexity validator.  The kernel is
     chosen from the input shape alone (see :func:`_select_kernel`); every
-    kernel returns the same bits, and peak memory stays bounded instead of
-    growing with the full ``(B, n, n, d)`` dense intermediate.
+    kernel returns the same bits — NaN payloads included, and ``0.0`` /
+    ``-0.0`` ties resolve in sender order (the first zero in-neighbor for
+    the minimum, the last for the maximum) — and peak memory stays bounded
+    instead of growing with the full ``(B, n, n, d)`` dense intermediate.
     """
     lo, _hi = _masked_extremes_pair(adjacency, values, None)
     return lo
@@ -195,91 +197,137 @@ def _masked_extremes_scan(
     return lo, hi
 
 
-def _masked_extremes_packed(
+def _max_over_senders(product: np.ndarray) -> np.ndarray:
+    """Maximum over axis -2 of ``product``, by halving it in place.
+
+    ``log2(n)`` whole-array ``np.maximum`` calls over contiguous blocks run
+    well ahead of ``product.max(axis=-2)``, whose inner loop covers one
+    short receiver row at a time.  Overwrites ``product``; returns a copy.
+    """
+    rows = product.shape[-2]
+    while rows > 1:
+        half = rows // 2
+        np.maximum(
+            product[..., :half, :], product[..., rows - half : rows, :],
+            out=product[..., :half, :],
+        )
+        rows -= half
+    return product[..., 0, :].copy()
+
+
+def _masked_extremes_rank(
     mask: np.ndarray,
     min_values: Optional[np.ndarray],
     max_values: Optional[np.ndarray],
     lead: tuple,
 ):
-    """Packed-bit masked extremes for the general (per-lead values) case.
+    """Rank-domain masked extremes for the general (per-lead values) case.
 
     Sorting each scenario's values once per coordinate turns the masked
-    extreme of every receiver into a first/last-set-bit query on the
-    receiver's mask row *permuted into sorted order*; packing those rows via
-    ``np.packbits`` answers all queries with one byte-level ``argmax`` and a
-    table lookup.  The largest intermediate is the permuted boolean mask —
-    an eighth of the dense kernel's float64 ``np.where`` tensor at ``d == 1``
-    before packing even starts — and the selected floats are actual elements
-    of ``values``, so the result is bit-for-bit equal to the dense kernel.
-    NaNs need no separate pass: a receiver whose last set bit lands in a
-    scenario's NaN tail takes the NaN the dense kernel propagates (see
-    :func:`_nan_tail_reversed`), and NaN-free stacks pay one O(lead) check.
+    extreme of every receiver into its in-neighbor of lowest (minimum) or
+    highest (maximum) rank in sorted order.  With ``rank`` the position of
+    each sender in that order, each comes out of one broadcast multiply and
+    one maximum over the sender axis (:func:`_max_over_senders`):
 
-    The column gather runs as one boolean fancy-index per lead scenario —
-    measured the fastest layout here: both a broadcast ``take_along_axis``
-    over the stacked boolean tensor and bit-level gathers out of the
-    bitset-resident :attr:`CommunicationGraph.packed_receive_rows` cache
-    (byte gather + shift + repack) clock 2-4x slower across every
-    ``(lead, n)`` regime on this stack, because the per-scenario gather is a
-    single contiguous fancy-index while the bit-level variant needs three
-    full passes over the mask bytes.  The graph bitset cache therefore
-    serves the *unpermuted* consumers (the α-relation kernels) instead.
+    * ``last = max(mask · rank)``,
+    * ``first = n − 1 − max(mask · (n − 1 − rank))``.
 
-    The fused two-tensor case shares the flattened mask and the permuted-mask
-    scratch buffer between the sides; with identical value objects the sort,
-    the permuted pack and the first/last-bit queries (one fused
-    :func:`repro.types.packed_first_last_true` sweep) are shared too.
+    Ranks are uint8 through ``n = 256``, so the product is one byte per
+    (lead, sender, receiver) — an eighth of the dense kernel's float64
+    ``np.where`` tensor at ``d == 1`` — laid out sender-major like the
+    adjacency itself.  A rank-0 in-neighbor and no in-neighbor both reduce
+    to 0, so receivers that hear nobody take ``±inf`` through a
+    has-neighbor vector; when both extremes run on one value tensor it is
+    free, since any in-neighbor of rank ``r`` makes the two maxima sum to at
+    least ``n − 1``.  The selected floats are actual elements of
+    ``values``, so the result is bit-for-bit equal to the dense kernel, and
+    tied values (``0.0 == -0.0``) resolve in sender order because the
+    ``argsort`` is stable.  NaNs need no separate pass: a receiver whose
+    last in-neighbor lands in a scenario's NaN tail takes the NaN the dense
+    kernel propagates (see :func:`_nan_tail_reversed`), and NaN-free stacks
+    pay one O(lead) check.
+
+    Values are sorted over their own lead axes and the ranks broadcast
+    against the mask's, so a value tensor shared by a candidate axis is
+    sorted once.  The two sides of a fused pair share the has-neighbor
+    vector and the product buffer; with identical value objects the sort
+    and the ``last`` reduction are shared too.
     """
-    n_receivers, n = mask.shape[-2], mask.shape[-1]
-    lead_count = math.prod(lead)
-    mask_flat = np.broadcast_to(mask, lead + (n_receivers, n)).reshape(
-        lead_count, n_receivers, n
-    )
-    permuted = np.empty((lead_count, n_receivers, n), dtype=bool)
-    out_shape_of = lambda d: lead + (n_receivers, d)  # noqa: E731
+    n_receivers, n = mask.shape[-2:]
+    ndim = len(lead) + 2
+
+    def with_lead(array):
+        return array.reshape((1,) * (ndim - array.ndim) + array.shape)
+
+    senders = with_lead(np.swapaxes(mask, -1, -2)).view(np.uint8)  # (..., n, R)
+    top = n - 1
+    rank_dtype = np.min_scalar_type(top)
+    positions = np.arange(n, dtype=rank_dtype)
+    product = np.empty(lead + (n, n_receivers), dtype=rank_dtype)
+    has_neighbor = None
+
+    def highest_rank(rank):
+        np.multiply(senders, rank[..., None], out=product)
+        return _max_over_senders(product)  # (..., R)
 
     def _one_side(values: np.ndarray, want_min: bool, want_max: bool):
+        nonlocal has_neighbor
         d = values.shape[-1]
-        values_flat = np.broadcast_to(values, lead + (n, d)).reshape(lead_count, n, d)
+        values = with_lead(values)
         out_dtype = _float_dtype(values)
-        lo = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_min else None
-        hi = np.empty((lead_count, n_receivers, d), dtype=out_dtype) if want_max else None
-        order = np.argsort(values_flat, axis=-2, kind="stable")  # (L, n, d)
+        lo = np.empty(lead + (n_receivers, d), dtype=out_dtype) if want_min else None
+        hi = np.empty(lead + (n_receivers, d), dtype=out_dtype) if want_max else None
+        order = np.argsort(values, axis=-2, kind="stable")
         for coord in range(d):
-            column_order = order[..., coord]  # (L, n)
-            sorted_column = np.take_along_axis(values_flat[..., coord], column_order, axis=-1)
+            column_order = order[..., coord]
+            sorted_column = np.take_along_axis(values[..., coord], column_order, axis=-1)
             sorted_column = sorted_column.astype(out_dtype, copy=False)
             column_order, sorted_column, nan_start = _nan_tail_reversed(
                 column_order, sorted_column
             )
-            for scenario in range(lead_count):
-                permuted[scenario] = mask_flat[scenario][:, column_order[scenario]]
-            packed = pack_bool_rows(permuted)  # (L, R, ceil(n/8))
-            if want_min and (want_max or nan_start is not None):
-                first, last = packed_first_last_true(packed, n)
-            elif want_min:
-                first = packed_first_true(packed, n)  # (L, R); n = no neighbor
-            else:
-                last = packed_last_true(packed, n)  # (L, R); -1 = no neighbor
+            rank = np.empty(column_order.shape, dtype=rank_dtype)
+            np.put_along_axis(rank, column_order, positions, axis=-1)
+            if want_max or nan_start is not None:
+                last = highest_rank(rank)
             if want_min:
-                pick = np.minimum(first, n - 1)
+                first_gap = highest_rank(top - rank)
+            if has_neighbor is None:
+                if want_min and want_max and top:
+                    has_neighbor = (last | first_gap) != 0
+                else:
+                    has_neighbor = senders.any(axis=-2)
+            if want_min:
+                pick = top - first_gap
                 if nan_start is not None:
                     pick = np.where(last >= nan_start, last, pick)
                 gathered = np.take_along_axis(sorted_column, pick, axis=-1)
-                lo[..., coord] = np.where(first < n, gathered, np.inf)
+                lo[..., coord] = np.where(has_neighbor, gathered, np.inf)
             if want_max:
-                gathered = np.take_along_axis(sorted_column, np.maximum(last, 0), axis=-1)
-                hi[..., coord] = np.where(last >= 0, gathered, -np.inf)
-        return (
-            lo.reshape(out_shape_of(d)) if lo is not None else None,
-            hi.reshape(out_shape_of(d)) if hi is not None else None,
-        )
+                gathered = np.take_along_axis(sorted_column, last, axis=-1)
+                hi[..., coord] = np.where(has_neighbor, gathered, -np.inf)
+        return lo, hi
 
     if min_values is not None and min_values is max_values:
         return _one_side(min_values, True, True)
     lo = _one_side(min_values, True, False)[0] if min_values is not None else None
     hi = _one_side(max_values, False, True)[1] if max_values is not None else None
     return lo, hi
+
+
+def _holds_negative_zero(values: np.ndarray) -> bool:
+    """Whether ``values`` holds a ``-0.0``: the dense kernel's one per-call check.
+
+    ``-0.0`` is the only float whose bits, read as a signed integer of the
+    same width, are that integer type's minimum, so one integer ``min``
+    answers it.  Integer and boolean values hold no signed zero.
+    """
+    if values.dtype.kind != "f" or values.size == 0:
+        return False
+    signed = _SIGNED_OF_WIDTH.get(values.dtype.itemsize)
+    if signed is None:  # long double: no integer of its width
+        return bool((np.signbit(values) & (values == 0)).any())
+    int_type, int_min = signed
+    return bool(values.view(int_type).min() == int_min)
 
 
 def _masked_extremes_dense(
@@ -294,7 +342,10 @@ def _masked_extremes_dense(
     walks the first lead axis in blocks whose intermediate stays below
     ``_DENSE_BLOCK_ELEMENTS`` — the kernel's only memory guard.  Blocking the
     lead axis leaves every receiver's reduction intact, so the result does
-    not depend on the block size.
+    not depend on the block size.  Ties between ``0.0`` and ``-0.0`` follow
+    the sorted kernels' sender order: when a value tensor holds a ``-0.0``
+    (:func:`_holds_negative_zero`), every zero extreme takes the sign of the
+    first (minimum) or last (maximum) zero in-neighbor.
     """
     n_receivers, n = mask.shape[-2:]
     d = (min_values if min_values is not None else max_values).shape[-1]
@@ -316,26 +367,51 @@ def _masked_extremes_dense(
         )
         return lo, hi
 
-    if block >= lead0:
-        return reduce(mask, min_values, max_values)
-
     def full(array):
         if array is None:
             return None
         return np.broadcast_to(array, lead + array.shape[-2:])
 
-    mask_full, min_full, max_full = full(mask), full(min_values), full(max_values)
-    blocks = [
-        reduce(
-            mask_full[start : start + block],
-            None if min_full is None else min_full[start : start + block],
-            None if max_full is None else max_full[start : start + block],
+    if block >= lead0:
+        lo, hi = reduce(mask, min_values, max_values)
+    else:
+        mask_full, min_full, max_full = full(mask), full(min_values), full(max_values)
+        blocks = [
+            reduce(
+                mask_full[start : start + block],
+                None if min_full is None else min_full[start : start + block],
+                None if max_full is None else max_full[start : start + block],
+            )
+            for start in range(0, lead0, block)
+        ]
+        lo, hi = (
+            None if side is None else np.concatenate([pair[index] for pair in blocks])
+            for index, side in enumerate((min_values, max_values))
         )
-        for start in range(0, lead0, block)
-    ]
-    return tuple(
-        None if side is None else np.concatenate([pair[index] for pair in blocks])
-        for index, side in enumerate((min_values, max_values))
+
+    def zeros_in_sender_order(extreme, values, first):
+        # 0.0 == -0.0, so np.minimum/np.maximum hand either sign to a
+        # receiver that hears both; a stable sort keeps tied zeros in sender
+        # order instead.
+        zero = extreme == 0
+        if not zero.any():
+            return extreme
+        *lead_index, receiver, coord = np.nonzero(zero)
+        rows = full(mask)[(*lead_index, receiver)]  # (zeros, n)
+        columns = np.swapaxes(full(values), -1, -2)[(*lead_index, coord)]
+        hits = rows & (columns == 0)
+        sender = hits.argmax(axis=-1) if first else n - 1 - hits[:, ::-1].argmax(axis=-1)
+        extreme[zero] = columns[np.arange(sender.size), sender]
+        return extreme
+
+    tied_min = min_values is not None and _holds_negative_zero(min_values)
+    if max_values is min_values:
+        tied_max = tied_min
+    else:
+        tied_max = max_values is not None and _holds_negative_zero(max_values)
+    return (
+        zeros_in_sender_order(lo, min_values, True) if tied_min else lo,
+        zeros_in_sender_order(hi, max_values, False) if tied_max else hi,
     )
 
 
@@ -344,25 +420,26 @@ def _select_kernel(lead_count: int, n: int, d: int, shared_values: bool):
 
     * Values shared by a stack of masks (``lead_count > 1``, every value
       lead axis of size 1, ``d <= 8``) take the sort-and-scan kernel.
-    * Otherwise the packed kernel runs above the measured crossover with the
+    * Otherwise the rank kernel runs above the measured crossover with the
       dense kernel.  Dense pays per element of the ``(lead, n, n, d)``
-      intermediate — at ``d == 1`` its ``np.where``/``min`` passes are
-      contiguous and several times cheaper per element — while packed pays a
-      fixed cost per call and per scenario for every coordinate.  Hence one
-      threshold on ``n`` (per-scenario work) and one on ``lead · n²`` (the
-      per-call overhead), both scaled by ``d`` beyond one coordinate.  On the
-      (lead, n, d) grid in README.md ("Masked reductions") the chosen kernel
-      is within 1.25x of the faster one at every point.
+      float intermediate, while rank pays per byte of its ``(lead, n, n)``
+      product for each coordinate plus a fixed cost per call and per
+      coordinate (the sort, the gathers).  At ``d == 1`` one threshold on
+      ``lead · n²`` marks where the per-element saving outgrows that fixed
+      cost; beyond one coordinate dense's cost per element drops further,
+      so rank also needs ``n² ≥ 32 · d`` and the work threshold scales by
+      ``d``.  On the (lead, n, d) grid in README.md ("Masked reductions")
+      the chosen kernel is within 1.25x of the faster one at every point.
     * Everything else runs dense.
     """
     if shared_values and lead_count > 1 and d <= 8:
         return _masked_extremes_scan
     work = lead_count * n * n
     if d == 1:
-        packed = n >= 40 and work >= 1 << 15
+        rank = work >= 1 << 15
     else:
-        packed = n * n >= 256 * d and work >= 4096 * d
-    return _masked_extremes_packed if packed else _masked_extremes_dense
+        rank = n * n >= 32 * d and work >= 4096 * d
+    return _masked_extremes_rank if rank else _masked_extremes_dense
 
 
 def _reduction_operands(
@@ -409,8 +486,11 @@ def _reduction_operands(
             f"disagree on the coordinate dimension: {sides[0].shape[-1]} vs {sides[1].shape[-1]}"
         )
     mask = receive_mask(adjacency_arr)
+    leads = {mask.shape[:-2], *(values.shape[:-2] for values in sides)}
+    if len(leads) == 1:  # the common case, without np.broadcast_shapes' overhead
+        return mask, min_arr, max_arr, leads.pop()
     try:
-        lead = np.broadcast_shapes(mask.shape[:-2], *(values.shape[:-2] for values in sides))
+        lead = np.broadcast_shapes(*leads)
     except ValueError as exc:
         raise EnsembleShapeError(
             f"adjacency tensor {adjacency_arr.shape} and value tensor(s) "

@@ -5,8 +5,10 @@ bit-for-bit (or last-ulp) identical results for the same scenario:
 
 * ``fast_vs_reference`` — ``run_execution`` with ``use_fast_path`` on/off,
 * ``batch_vs_loop`` — ``run_ensemble`` with ``use_batch`` on/off,
-* ``packed_vs_dense`` — the packed vs the dense masked-reduction kernel on
-  every round of the case's batched trajectory (NaN-bearing values included),
+* ``packed_vs_dense`` — the rank-domain vs the dense masked-reduction kernel
+  on every round of the case's batched trajectory (NaN-bearing values and
+  ``0.0`` / ``-0.0`` ties included; the key predates the rank kernel, which
+  replaced the packed-bit one, and stored corpora carry it),
 * ``facade_vs_direct`` — ``Study`` vs the engine call it compiles to,
 * ``faulted_batch_vs_loop`` — the vectorized fault-mask path vs the
   per-scenario reference loop under a :class:`~repro.faults.FaultPlan`,
@@ -34,7 +36,7 @@ import numpy as np
 from repro.algorithms.base import (
     Algorithm,
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_rank,
     _reduction_operands,
 )
 from repro.campaign.registry import (
@@ -443,8 +445,10 @@ def _side_kernel(spec: CaseSpec, algorithm: Algorithm, kernel) -> Dict[str, np.n
     return {
         "recorded_outputs": np.asarray(execution.recorded_outputs, dtype=float),
         "masked_extremes": extremes,
-        # The payload comparison treats every NaN alike; pin their signs too.
+        # The payload comparison treats every NaN alike and 0.0 == -0.0;
+        # pin their signs too.
         "negative_nans": (np.isnan(extremes) & np.signbit(extremes)).astype(float),
+        "negative_zeros": ((extremes == 0) & np.signbit(extremes)).astype(float),
     }
 
 
@@ -512,7 +516,7 @@ TARGETS: Dict[str, Target] = {
         ),
         Target(
             key="packed_vs_dense",
-            left=lambda spec, a: _side_kernel(spec, a, _masked_extremes_packed),
+            left=lambda spec, a: _side_kernel(spec, a, _masked_extremes_rank),
             right=lambda spec, a: _side_kernel(spec, a, _masked_extremes_dense),
             requires_batch=True,
         ),
@@ -658,6 +662,13 @@ def build_case(target: str, case_seed: int) -> CaseSpec:
         negative = rng.random(values.shape) < 0.5
         values[hit & negative] = -np.nan
         values[hit & ~negative] = np.nan
+    if target == "packed_vs_dense" and rng.random() < 0.3:
+        # Exact 0.0 / -0.0 ties, drawn last so that earlier cases replay
+        # unchanged: the kernels must hand a receiver the same zero's sign.
+        zero = rng.random(values.shape) < rng.choice([0.3, 1.0])
+        negative = rng.random(values.shape) < 0.5
+        values[zero & negative] = -0.0
+        values[zero & ~negative] = 0.0
     return CaseSpec(
         target=target,
         algorithm=entry.key,

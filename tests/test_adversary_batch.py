@@ -451,7 +451,7 @@ class TestChunkedReductions:
         ((3, 6, 6), (5, 1, 6, 2)), # candidate axis crossed with scenarios
         ((6, 6), (5, 6, 1)),       # shared graph over an ensemble
         ((4, 6, 6), (6, 3)),       # stacked candidates, shared values (scan kernel)
-        ((16, 48, 48), (16, 48, 1)),  # packed as a whole, dense in small shards
+        ((16, 48, 48), (16, 48, 1)),  # rank as a whole, dense in small shards
     ]
 
     @staticmethod
@@ -466,7 +466,10 @@ class TestChunkedReductions:
         adjacency[..., np.arange(n), np.arange(n)] = True
         return adjacency, rng.normal(size=values_shape)
 
-    @pytest.mark.parametrize("kernel_name", ["dense", "packed", "scan", None])
+    # The rank kernel keeps the ``packed`` id of the kernel it replaced.
+    @pytest.mark.parametrize(
+        "kernel_name", ["dense", pytest.param("rank", id="packed"), "scan", None]
+    )
     def test_each_kernel_bitwise_equal_to_dense(self, monkeypatch, kernel_name):
         rng = np.random.default_rng(0)
         if kernel_name is not None:
@@ -488,7 +491,7 @@ class TestChunkedReductions:
     @pytest.mark.parametrize("shard", [1, 2, 4, 100, "dense", "auto"])
     def test_bitwise_equal_to_dense(self, monkeypatch, dense_block, shard):
         # Each shard's lead count selects its own kernel, so one stack may run
-        # packed whole and dense in shards (as under the threaded backend);
+        # rank whole and dense in shards (as under the threaded backend);
         # ``dense_block`` sets the dense kernel's lead block in scenarios
         # ("dense": one block, "auto": the default budget).  No combination
         # may change a bit of the whole-stack reference.
@@ -565,7 +568,7 @@ class TestChunkedReductions:
             ).recorded_outputs
 
         dispatched = run()
-        for kernel_name in ("dense", "packed"):
+        for kernel_name in ("dense", "rank"):
             self._pin(monkeypatch, kernel_name)
             np.testing.assert_array_equal(run(), dispatched)
         self._pin(monkeypatch, "dense")

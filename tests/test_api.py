@@ -74,7 +74,7 @@ def _ensemble_values(batch, n, d=1, seed=0):
 def _record_kernel_calls(monkeypatch):
     """Record which masked-reduction kernel each dispatch runs, from any thread."""
     calls = []
-    for name in ("packed", "dense"):
+    for name in ("rank", "dense"):
         attribute = f"_masked_extremes_{name}"
         original = getattr(algorithms_base, attribute)
 
@@ -90,7 +90,7 @@ class TestEngineConfig:
     def test_applies_and_restores_reduction_settings(self, monkeypatch):
         # No config field names a kernel any more; ``threads`` reaches the
         # reduction only through each shard's lead count.  A (16, 48, 1)
-        # ensemble runs packed as one stack and dense in four 4-scenario
+        # ensemble runs rank as one stack and dense in four 4-scenario
         # shards, bit-for-bit alike, and leaving the scope restores the
         # serial dispatch.
         values = _ensemble_values(16, 48, seed=4)
@@ -107,7 +107,7 @@ class TestEngineConfig:
             with EngineConfig(threads=4):
                 sharded, sharded_kernels, sharded_calls = run()
             restored, restored_kernels, _ = run()
-        assert serial_kernels == restored_kernels == ["packed"]
+        assert serial_kernels == restored_kernels == ["rank"]
         assert sharded_kernels == ["dense"]
         assert sharded_calls == 4 * serial_calls
         np.testing.assert_array_equal(sharded, serial)

@@ -47,7 +47,7 @@ class TestNesting:
 
     def test_reduction_fields_apply_and_restore_on_raise(self, monkeypatch):
         # ``threads`` is the field that reaches the masked reduction, through
-        # each shard's lead count: (16, 48, 1) runs packed as one stack and
+        # each shard's lead count: (16, 48, 1) runs rank as one stack and
         # dense in 4-scenario shards.  The innermost block wins and a raise
         # inside it restores the outer dispatch.
         import numpy as np
@@ -61,7 +61,7 @@ class TestNesting:
         graphs = [complete_graph(48), cycle_graph(48)]
 
         calls = []
-        for name in ("packed", "dense"):
+        for name in ("rank", "dense"):
             original = getattr(base_module, f"_masked_extremes_{name}")
 
             def recording(*args, _name=name, _original=original):
@@ -79,12 +79,12 @@ class TestNesting:
             assert kernels_run() == {"dense"}
             with pytest.raises(RuntimeError):
                 with EngineConfig(threads=1):
-                    assert kernels_run() == {"packed"}
+                    assert kernels_run() == {"rank"}
                     raise RuntimeError("boom")
             assert resolve_threads(None) == 4
             assert kernels_run() == {"dense"}
         with EngineConfig(threads=1):
-            assert kernels_run() == {"packed"}
+            assert kernels_run() == {"rank"}
 
     def test_explicit_argument_beats_active_config(self):
         with EngineConfig(seed=4, scenario_chunk=8, threads=2):

@@ -12,8 +12,10 @@ from a registry — and differentially checks
   ``use_batch`` on/off, plus per-scenario state snapshots),
 * **adversarial batch vs loop** (``run_adversarial_ensemble`` vs per-scenario
   adversary runs, choices and outputs),
-* **packed vs dense** masked-reduction kernels (and sort-and-scan on shared
-  values), NaN-bearing values included — compared on the raw bits,
+* **packed vs dense** masked-reduction kernels — the rank-domain kernel
+  (which replaced the packed-bit one; the pair keeps its id) and, on shared
+  values, sort-and-scan against dense, NaN-bearing values and ``0.0`` /
+  ``-0.0`` ties included — compared on the raw bits,
 * **facade vs direct** (``Study`` vs the engine call it compiles to),
 * **faulted batch vs loop** (the vectorized fault-mask path vs the
   per-scenario reference loop under randomized ``FaultPlan``s, including
@@ -44,7 +46,7 @@ import pytest
 
 from repro.algorithms.base import (
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_rank,
     _masked_extremes_scan,
     _reduction_operands,
     masked_extreme_pair,
@@ -278,7 +280,9 @@ def _reduction_case(rng):
     About a third of the cases broadcast one registered graph's adjacency
     over the value ensemble (exercising the bitset-resident
     CommunicationGraph cache); a third of the value tensors carry NaNs of
-    both signs (``nan`` and ``-nan``), sometimes a whole scenario of them.
+    both signs (``nan`` and ``-nan``), sometimes a whole scenario of them,
+    and a third carry exact ``0.0`` / ``-0.0`` ties (``0.0 == -0.0``, so the
+    kernels must agree on which zero's sign a receiver takes).
     """
     n = int(rng.integers(2, 48))
     d = int(rng.integers(1, 4))
@@ -295,6 +299,11 @@ def _reduction_case(rng):
         negative = rng.random(values.shape) < 0.5
         values[hit & negative] = -np.nan
         values[hit & ~negative] = np.nan
+    if rng.random() < 0.3:
+        zero = rng.random(values.shape) < rng.choice([0.2, 0.6, 1.0])
+        negative = rng.random(values.shape) < 0.5
+        values[zero & negative] = -0.0
+        values[zero & ~negative] = 0.0
     return adjacency, values, n, d, lead
 
 
@@ -309,9 +318,14 @@ def _same_bits(got, want):
 
 
 def _case_packed_vs_dense(case_seed):
+    """The rank kernel (and sort-and-scan on shared values) vs dense, bit-for-bit.
+
+    The pair keeps the id of the packed-bit kernel the rank kernel replaced:
+    CI selects it by that name.
+    """
     rng = _case_rng(case_seed)
     adjacency, values, n, d, lead = _reduction_case(rng)
-    kernels = {"packed": (_masked_extremes_packed, values)}
+    kernels = {"rank": (_masked_extremes_rank, values)}
     if np.ndim(adjacency) == 3:
         # One value matrix shared by the whole mask stack: the sort-and-scan
         # kernel's regime, checked against dense on the same operands.
@@ -629,14 +643,14 @@ def _case_fused_vs_separate_reduction(case_seed):
     adjacency, min_values, n, d, lead = _reduction_case(rng)
     shared = bool(rng.random() < 0.4)
     max_values = min_values if shared else rng.uniform(-3.0, 3.0, size=(lead, n, d))
-    impl = ("auto", "dense", "packed")[int(rng.integers(3))]
+    impl = ("auto", "dense", "rank")[int(rng.integers(3))]
     if impl == "auto":
         # The public functions, through the shape dispatch.
         fused = lambda lo, hi: masked_extreme_pair(adjacency, lo, hi)  # noqa: E731
         separate_min = masked_min(adjacency, min_values)
         separate_max = masked_max(adjacency, max_values)
     else:
-        kernel = _masked_extremes_dense if impl == "dense" else _masked_extremes_packed
+        kernel = _masked_extremes_dense if impl == "dense" else _masked_extremes_rank
         fused = lambda lo, hi: kernel(*_reduction_operands(adjacency, lo, hi))  # noqa: E731
         separate_min = fused(min_values, None)[0]
         separate_max = fused(None, max_values)[1]

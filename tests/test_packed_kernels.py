@@ -4,8 +4,10 @@ Every packed/stacked kernel must agree exactly with its per-graph reference:
 products over random graph stacks, reachability/roots/rootedness/non-split
 over stacks, the α relation matrix against per-pair ``alpha_related`` calls,
 α/β classes and the α-diameter against the per-pair reference path, the
-packed masked-reduction kernel against the dense kernel bit-for-bit (NaN
-payloads included), and the shape rule that picks between them.
+rank-domain masked-reduction kernel against the dense kernel bit-for-bit
+(NaN payloads and signed zeros included), and the shape rule that picks
+between them.  Test names that say "packed" about a masked reduction predate
+the rank kernel, which replaced the packed-bit one; they keep their names.
 """
 
 from __future__ import annotations
@@ -16,16 +18,27 @@ import numpy as np
 import pytest
 
 import repro.algorithms.base as base_module
+from repro.algorithms import MidpointAlgorithm
 from repro.algorithms.base import (
     _masked_extremes_dense,
-    _masked_extremes_packed,
+    _masked_extremes_rank,
+    _masked_extremes_scan,
     _reduction_operands,
+    masked_extreme_pair,
+    masked_max,
     masked_min,
     masked_min_max,
 )
 from repro.exceptions import GraphError
+from repro.execution import run_pattern_ensemble
 from repro.graphs.digraph import CommunicationGraph
-from repro.graphs.families import complete_graph, deaf_family, psi_family, two_agent_graphs
+from repro.graphs.families import (
+    complete_graph,
+    cycle_graph,
+    deaf_family,
+    psi_family,
+    two_agent_graphs,
+)
 from repro.graphs.generators import random_graph, random_nonsplit_graph, random_rooted_graph
 from repro.graphs.packed import (
     in_neighborhood_ids,
@@ -60,15 +73,16 @@ from repro.graphs.relations import (
     alpha_witness_tensor,
     beta_classes,
 )
-from repro.types import pack_bool_rows, packed_first_true, packed_last_true, packed_row_ids
+from repro.models.patterns import PeriodicPattern
+from repro.types import pack_bool_rows, packed_row_ids
 
 
 def _dense(adjacency, values):
     return _masked_extremes_dense(*_reduction_operands(adjacency, values, values))
 
 
-def _packed(adjacency, values):
-    return _masked_extremes_packed(*_reduction_operands(adjacency, values, values))
+def _rank(adjacency, values):
+    return _masked_extremes_rank(*_reduction_operands(adjacency, values, values))
 
 
 def _bits(array):
@@ -84,21 +98,6 @@ def _random_stack(n, count, seed, probability=0.4):
 # --------------------------------------------------------------------------- #
 # Bit kernels in types.py
 # --------------------------------------------------------------------------- #
-
-@pytest.mark.parametrize("length", [1, 7, 8, 9, 31, 64, 65])
-def test_packed_first_last_true_match_dense_scan(length):
-    rng = np.random.default_rng(length)
-    rows = rng.random((40, length)) < 0.2
-    rows[0] = False  # an all-false row exercises the sentinels
-    rows[1] = True
-    packed = pack_bool_rows(rows)
-    first = packed_first_true(packed, length)
-    last = packed_last_true(packed, length)
-    for row, f, l in zip(rows, first, last):
-        hits = np.nonzero(row)[0]
-        assert f == (hits[0] if hits.size else length)
-        assert l == (hits[-1] if hits.size else -1)
-
 
 def test_packed_row_ids_group_equal_rows():
     rows = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 0]], dtype=bool)
@@ -257,8 +256,119 @@ def test_alpha_classes_psi32_vectorized_matches_reference():
 
 
 # --------------------------------------------------------------------------- #
-# Packed masked reductions vs dense, bit-for-bit
+# Rank-domain masked reductions vs dense, bit-for-bit
 # --------------------------------------------------------------------------- #
+
+
+def _assert_same_bits(got_pair, want_pair):
+    for got, want in zip(got_pair, want_pair):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 31, 64, 65])
+def test_rank_first_last_in_neighbor_match_dense_scan(length):
+    # Values equal to the sender index: the masked minimum is the first
+    # in-neighbor and the maximum the last, with the +/-inf sentinels for a
+    # receiver that hears nobody.
+    rng = np.random.default_rng(length)
+    mask = rng.random((3, length, length)) < 0.2
+    mask[:, 0] = False  # an all-false row exercises the sentinels
+    mask[:, -1] = True
+    values = np.broadcast_to(np.arange(length, dtype=float)[:, None], (3, length, 1))
+    lo, hi = _rank(np.swapaxes(mask, -1, -2), values)
+    for scenario, receiver in np.ndindex(3, length):
+        hits = np.nonzero(mask[scenario, receiver])[0]
+        assert lo[scenario, receiver, 0] == (hits[0] if hits.size else np.inf)
+        assert hi[scenario, receiver, 0] == (hits[-1] if hits.size else -np.inf)
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 257])
+def test_rank_dtype_boundary_matches_dense(n):
+    # Ranks stay uint8 through n = 256 and widen beyond it; the extreme
+    # ranks (0 and n - 1) and the NaN tail sit right at the boundary.
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(2, n, 1))
+    values[1, rng.random(n) < 0.1] = np.nan
+    adjacency = rng.random((2, n, n)) < 0.05
+    order = np.argsort(values[0, :, 0])
+    adjacency[0, :, :] = False
+    adjacency[0, order[0], 0] = True  # hears only the rank-0 sender
+    adjacency[0, order[-1], 1] = True  # hears only the top-rank sender
+    adjacency[0, order[[0, -1]], 2] = True  # hears both
+    # receiver 3 of scenario 0 hears nobody
+    adjacency[0, np.arange(4, n), np.arange(4, n)] = True
+    expected = _dense(adjacency, values)
+    _assert_same_bits(_rank(adjacency, values), expected)
+    assert expected[0][0, 0, 0] == values[0, order[0], 0]
+    assert expected[1][0, 1, 0] == values[0, order[-1], 0]
+    assert expected[0][0, 3, 0] == np.inf and expected[1][0, 3, 0] == -np.inf
+    for side in ((values, None), (None, values)):
+        _assert_same_bits(
+            _masked_extremes_rank(*_reduction_operands(adjacency, *side)),
+            _masked_extremes_dense(*_reduction_operands(adjacency, *side)),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_rank_receivers_without_in_neighbors(n):
+    # The has-neighbor vector comes from the two maxima when both extremes
+    # run on one tensor and from the mask otherwise; both must keep the
+    # +/-inf sentinels, down to n = 1 where every rank is 0.
+    values = np.linspace(-1.0, 1.0, 3 * n).reshape(3, n, 1)
+    adjacency = np.zeros((3, n, n), dtype=bool)
+    adjacency[1, 0, :] = True  # scenario 1: everyone hears agent 0 only
+    adjacency[2] = np.eye(n, dtype=bool)
+    for pair in ((values, values), (values, None), (None, values), (values, -values)):
+        got = _masked_extremes_rank(*_reduction_operands(adjacency, *pair))
+        _assert_same_bits(got, _masked_extremes_dense(*_reduction_operands(adjacency, *pair)))
+    lo, hi = _rank(adjacency, values)
+    assert (lo[0] == np.inf).all() and (hi[0] == -np.inf).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, bool, np.float32])
+def test_rank_promotes_values_like_dense(dtype):
+    rng = np.random.default_rng(20)
+    integers = rng.integers(-3, 4, size=(4, 12, 2))
+    values = (integers > 0 if dtype is bool else integers).astype(dtype)
+    adjacency = rng.random((4, 12, 12)) < 0.3
+    expected = _dense(adjacency, values)
+    assert expected[0].dtype == base_module._float_dtype(values)
+    _assert_same_bits(_rank(adjacency, values), expected)
+
+
+@pytest.mark.parametrize(
+    "adjacency_shape,values_shape",
+    [
+        ((3, 9, 9), (4, 1, 9, 2)),  # a candidate axis crossed with scenarios (B, C)
+        ((4, 3, 9, 9), (4, 3, 9, 1)),  # a full 2-D lead
+        ((9, 9), (5, 9, 2)),  # one shared (n, n) mask with per-lead values
+        ((5, 9, 9), (9, 3)),  # one shared value matrix
+    ],
+    ids=["candidates-x-scenarios", "2d-lead", "shared-mask", "shared-values"],
+)
+def test_rank_operand_layouts_match_dense(adjacency_shape, values_shape):
+    rng = np.random.default_rng(21)
+    adjacency = rng.random(adjacency_shape) < 0.4
+    values = rng.normal(size=values_shape)
+    values[rng.random(values_shape) < 0.1] = np.nan
+    _assert_same_bits(_rank(adjacency, values), _dense(adjacency, values))
+
+
+def test_rank_separate_min_max_tensors_match_dense():
+    rng = np.random.default_rng(22)
+    adjacency = rng.random((6, 40, 40)) < 0.3
+    mins, maxs = rng.normal(size=(2, 6, 40, 2))
+    maxs[2, :5] = -np.nan
+    operands = _reduction_operands(adjacency, mins, maxs)
+    expected = _masked_extremes_dense(*operands)
+    _assert_same_bits(_masked_extremes_rank(*operands), expected)
+    _assert_same_bits(masked_extreme_pair(adjacency, mins, maxs), expected)
+    assert np.array_equal(_bits(masked_min(adjacency, mins)), _bits(expected[0]))
+    assert np.array_equal(_bits(masked_max(adjacency, maxs)), _bits(expected[1]))
+
 
 @pytest.mark.parametrize("shape", [(5, 40, 1), (3, 33, 2), (7, 16, 3), (2, 3, 65, 1)])
 def test_packed_masked_reduction_matches_dense(shape):
@@ -269,9 +379,9 @@ def test_packed_masked_reduction_matches_dense(shape):
     diag = np.arange(n)
     adjacency[..., diag, diag] = True
     lo_dense, hi_dense = _dense(adjacency, values)
-    lo_packed, hi_packed = _packed(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    lo_rank, hi_rank = _rank(adjacency, values)
+    assert np.array_equal(lo_dense, lo_rank)
+    assert np.array_equal(hi_dense, hi_rank)
 
 
 def test_packed_masked_reduction_handles_empty_in_neighborhoods():
@@ -280,13 +390,13 @@ def test_packed_masked_reduction_handles_empty_in_neighborhoods():
     adjacency[:, 2, :] = True  # only agent 2 sends; most receivers hear one sender
     values = rng.normal(size=(4, 10, 1))
     lo_dense, hi_dense = _dense(adjacency, values)
-    lo_packed, hi_packed = _packed(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    lo_rank, hi_rank = _rank(adjacency, values)
+    assert np.array_equal(lo_dense, lo_rank)
+    assert np.array_equal(hi_dense, hi_rank)
 
 
 def test_packed_masked_reduction_nan_values_fall_back_to_dense():
-    # (8, 256, 1) sits above the crossover, so the dispatch runs the packed
+    # (8, 256, 1) sits above the crossover, so the dispatch runs the rank
     # kernel even on NaN inputs; a receiver hearing a NaN must get the very
     # NaN the dense kernel propagates (the first one in sender order), sign
     # and payload included.
@@ -305,14 +415,14 @@ def test_packed_masked_reduction_nan_values_fall_back_to_dense():
     adjacency[6] = False  # receivers without in-neighbors keep the sentinels
     lo_dense, hi_dense = _dense(adjacency, values)
     assert np.isnan(lo_dense).any() and not np.isnan(lo_dense).all()
-    for lo, hi in (_packed(adjacency, values), masked_min_max(adjacency, values)):
+    for lo, hi in (_rank(adjacency, values), masked_min_max(adjacency, values)):
         assert np.array_equal(_bits(lo), _bits(lo_dense))
         assert np.array_equal(_bits(hi), _bits(hi_dense))
     assert np.array_equal(_bits(masked_min(adjacency, values)), _bits(lo_dense))
 
 
 def test_packed_masked_reduction_auto_fires_on_large_stacks(monkeypatch):
-    # Above the crossover the dispatch runs packed, still bit-for-bit.
+    # Above the crossover the dispatch runs rank, still bit-for-bit.
     rng = np.random.default_rng(8)
     values = rng.normal(size=(48, 160, 1))
     adjacency = rng.random((48, 160, 160)) < 0.1
@@ -321,9 +431,66 @@ def test_packed_masked_reduction_auto_fires_on_large_stacks(monkeypatch):
     lo_dense, hi_dense = _dense(adjacency, values)
     calls = _count_kernel_calls(monkeypatch)
     lo_auto, hi_auto = masked_min_max(adjacency, values)
-    assert calls == {"packed": 1, "dense": 0}
+    assert calls == {"rank": 1, "dense": 0}
     assert np.array_equal(lo_auto, lo_dense)
     assert np.array_equal(hi_auto, hi_dense)
+
+
+# --------------------------------------------------------------------------- #
+# Signed zeros: 0.0 == -0.0 ties resolve in sender order on every kernel
+# --------------------------------------------------------------------------- #
+
+
+def _signed_zeros(shape, seed):
+    return np.random.default_rng(seed).choice([0.0, -0.0], size=shape)
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 1), (64, 64, 4), (64, 64, 64)])
+def test_signed_zero_batch_equals_per_scenario_calls(shape):
+    # The shape picks the kernel, so a batched call and the same scenarios
+    # one at a time may run different kernels; the bits must not differ.
+    values = _signed_zeros(shape, 23)
+    adjacency = np.random.default_rng(24).random(shape[:2] + shape[1:2]) < 0.5
+    lo, hi = masked_min_max(adjacency, values)
+    for scenario in range(shape[0]):
+        single = masked_min_max(adjacency[scenario], values[scenario])
+        _assert_same_bits(single, (lo[scenario], hi[scenario]))
+    operands = _reduction_operands(adjacency, values, values)
+    _assert_same_bits(_masked_extremes_rank(*operands), (lo, hi))
+    _assert_same_bits(_masked_extremes_dense(*operands), (lo, hi))
+    # The minimum takes the first zero in sender order, the maximum the last.
+    receive = np.swapaxes(adjacency, -1, -2)
+    for scenario, receiver in ((0, 0), (7, 3), (63, 63)):
+        hits = np.nonzero(receive[scenario, receiver])[0]
+        column = values[scenario, hits, 0]
+        assert np.signbit(lo[scenario, receiver, 0]) == np.signbit(column[0])
+        assert np.signbit(hi[scenario, receiver, 0]) == np.signbit(column[-1])
+
+
+def test_signed_zero_scan_and_separate_tensors_match_dense():
+    rng = np.random.default_rng(25)
+    adjacency = rng.random((6, 20, 20)) < 0.4
+    shared = _signed_zeros((1, 20, 2), 26)
+    operands = _reduction_operands(adjacency, shared, shared)
+    _assert_same_bits(_masked_extremes_scan(*operands), _masked_extremes_dense(*operands))
+    mins, maxs = _signed_zeros((6, 20, 2), 27), rng.uniform(-1.0, 0.0, size=(6, 20, 2))
+    maxs[maxs > -0.5] = -0.0
+    operands = _reduction_operands(adjacency, mins, maxs)
+    _assert_same_bits(_masked_extremes_rank(*operands), _masked_extremes_dense(*operands))
+
+
+def test_signed_zero_midpoint_batch_equals_per_scenario_loop():
+    values = _signed_zeros((64, 64, 1), 28)
+    pattern = PeriodicPattern([complete_graph(64), cycle_graph(64)])
+    runs = [
+        run_pattern_ensemble(
+            MidpointAlgorithm(), values, pattern, 3, use_batch=use_batch, record_every=1
+        )
+        for use_batch in (True, False)
+    ]
+    batched, loop = (np.asarray(run.recorded_outputs) for run in runs)
+    assert np.signbit(batched).any() and not np.signbit(batched).all()
+    assert np.array_equal(_bits(batched), _bits(loop))
 
 
 # --------------------------------------------------------------------------- #
@@ -332,12 +499,10 @@ def test_packed_masked_reduction_auto_fires_on_large_stacks(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count dispatches into the packed and dense kernels (module globals)."""
-    calls = {"packed": 0, "dense": 0}
-    for name, attribute in (
-        ("packed", "_masked_extremes_packed"),
-        ("dense", "_masked_extremes_dense"),
-    ):
+    """Count dispatches into the rank and dense kernels (module globals)."""
+    calls = {"rank": 0, "dense": 0}
+    for name in calls:
+        attribute = f"_masked_extremes_{name}"
         original = getattr(base_module, attribute)
 
         def counting(*args, _name=name, _original=original):
@@ -351,7 +516,7 @@ def _count_kernel_calls(monkeypatch):
 @pytest.mark.parametrize(
     "shape,kernel",
     [
-        ((64, 64, 1), "packed"),  # the faulted-ensemble round
+        ((64, 64, 1), "rank"),  # the faulted-ensemble round
         ((16, 32, 1), "dense"),  # one service-journal shard
         ((8, 6, 1), "dense"),  # a Table 1 certification call
     ],
@@ -364,7 +529,7 @@ def test_dispatch_selects_kernel_by_shape(monkeypatch, shape, kernel):
     adjacency = rng.random((batch, n, n)) < 0.5
     calls = _count_kernel_calls(monkeypatch)
     masked_min_max(adjacency, values)
-    assert calls == {name: int(name == kernel) for name in ("packed", "dense")}
+    assert calls == {name: int(name == kernel) for name in ("rank", "dense")}
 
 
 def test_dispatch_ignores_values(monkeypatch):
@@ -375,7 +540,7 @@ def test_dispatch_ignores_values(monkeypatch):
     masked_min_max(adjacency, values)
     values[::2, 3] = np.nan
     masked_min_max(adjacency, values)
-    assert calls == {"packed": 2, "dense": 0}
+    assert calls == {"rank": 2, "dense": 0}
 
 
 def test_dispatch_peak_memory_at_b64_n256():
@@ -475,9 +640,9 @@ def test_packed_gather_on_graph_adjacency_bit_for_bit():
         graph = random_graph(n, rng, float(rng.uniform(0.1, 0.9)))
         values = rng.uniform(-4.0, 4.0, size=(lead, n, d))
         lo_dense, hi_dense = _dense(graph.adjacency, values)
-        lo_packed, hi_packed = _packed(graph.adjacency, values)
-        assert np.array_equal(lo_dense, lo_packed), trial
-        assert np.array_equal(hi_dense, hi_packed), trial
+        lo_rank, hi_rank = _rank(graph.adjacency, values)
+        assert np.array_equal(lo_dense, lo_rank), trial
+        assert np.array_equal(hi_dense, hi_rank), trial
 
 
 def test_packed_gather_on_memoized_stacks_matches_dense():
@@ -488,9 +653,9 @@ def test_packed_gather_on_memoized_stacks_matches_dense():
     stacked = _AdjacencyCache().stacked(graphs)
     values = rng.uniform(-1.0, 1.0, size=(5, 24, 2))
     lo_dense, hi_dense = _dense(stacked, values)
-    lo_packed, hi_packed = _packed(stacked, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
+    lo_rank, hi_rank = _rank(stacked, values)
+    assert np.array_equal(lo_dense, lo_rank)
+    assert np.array_equal(hi_dense, hi_rank)
 
 
 def test_packed_gather_handles_isolated_receivers():
@@ -499,11 +664,11 @@ def test_packed_gather_handles_isolated_receivers():
     values = np.array([[[0.5], [1.5], [-2.0]], [[3.0], [0.0], [1.0]]])
     adjacency = np.zeros((2, 3, 3), dtype=bool)
     adjacency[0, 0, 1] = True  # 1 hears 0 in scenario 0; everyone else deaf
-    lo_packed, hi_packed = _packed(adjacency, values)
+    lo_rank, hi_rank = _rank(adjacency, values)
     lo_dense, hi_dense = _dense(adjacency, values)
-    assert np.array_equal(lo_dense, lo_packed)
-    assert np.array_equal(hi_dense, hi_packed)
-    assert lo_packed[0, 0, 0] == np.inf and hi_packed[0, 0, 0] == -np.inf
+    assert np.array_equal(lo_dense, lo_rank)
+    assert np.array_equal(hi_dense, hi_rank)
+    assert lo_rank[0, 0, 0] == np.inf and hi_rank[0, 0, 0] == -np.inf
 
 
 class TestFusedMaskResolutionCount:
@@ -511,11 +676,14 @@ class TestFusedMaskResolutionCount:
 
     ``masked_min_max`` / ``masked_extreme_pair`` fuse the min and max
     reductions over a single :func:`receive_mask` call on every kernel
-    (dense, sort-and-scan, packed); the amortized midpoint's vectorized
+    (dense, sort-and-scan, rank); the amortized midpoint's vectorized
     transition rides that kernel, so each round resolves its adjacency
     exactly once.  ``"auto"`` leaves the shape rule in charge; the other
-    parameters pin the dispatch to one kernel.
+    parameters pin the dispatch to one kernel (the rank kernel keeps the
+    ``packed`` id of the kernel it replaced).
     """
+
+    IMPLS = ["auto", "dense", pytest.param("rank", id="packed")]
 
     @staticmethod
     def _pin_kernel(monkeypatch, impl):
@@ -537,7 +705,7 @@ class TestFusedMaskResolutionCount:
         monkeypatch.setattr(base_module, "receive_mask", counting)
         return counter
 
-    @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
+    @pytest.mark.parametrize("impl", IMPLS)
     def test_masked_min_max_resolves_once(self, monkeypatch, count_mask_resolutions, impl):
         rng = np.random.default_rng(40)
         values = rng.uniform(-1.0, 1.0, size=(3, 8, 2))
@@ -552,7 +720,7 @@ class TestFusedMaskResolutionCount:
         assert np.array_equal(hi, masked_max(adjacency, values))
         assert count_mask_resolutions["calls"] == 3
 
-    @pytest.mark.parametrize("impl", ["auto", "dense", "packed"])
+    @pytest.mark.parametrize("impl", IMPLS)
     def test_extreme_pair_on_distinct_tensors_resolves_once(
         self, monkeypatch, count_mask_resolutions, impl
     ):
