@@ -130,6 +130,11 @@ class AmortizedMidpointAlgorithm(Algorithm):
     def output(self, agent_id: int, state: AmortizedMidpointState) -> np.ndarray:
         return state.value
 
+    def round_invariant(self) -> bool:
+        # The phase position lives in the state; neither transition reads
+        # ``round_number``.
+        return True
+
     # ------------------------------------------------------------------ #
     # Vectorized fast path
     # ------------------------------------------------------------------ #

@@ -579,13 +579,19 @@ class Algorithm(ABC):
     def round_invariant(self) -> bool:
         """Whether the transition ignores the ``round_number`` argument.
 
-        Round-invariant algorithms produce bit-for-bit identical outputs no
-        matter which round number a transition executes at.  The batched
-        valency estimator relies on this to stack futures that start at
-        different rounds into one ensemble and to drop exact-fixpoint
-        scenarios from constant suffixes early.  Defaults to ``False``
-        (conservative); memoryless rules whose update never reads
-        ``round_number`` override it to ``True``.
+        Round-invariant algorithms produce bit-for-bit identical states no
+        matter which round number a transition executes at, in both
+        :meth:`transition` and :meth:`batch_transition`.  Any algorithm whose
+        update never reads ``round_number`` may override this to ``True``,
+        stateful ones included: the amortized midpoint keeps its phase
+        position in the state.  The batched valency estimator relies on it
+        to stack futures that start at different rounds into one ensemble
+        (stateful states stack when they agree once their array leaves are
+        stripped, see :meth:`batch_map`).  Retiring exact output fixpoints
+        from constant suffixes is a separate, convex-class rule
+        (:meth:`ConvexCombinationAlgorithm.batch_state_fixpoint`); stateful
+        algorithms answer :meth:`batch_state_fixpoint` themselves.  Defaults
+        to ``False`` (conservative).
         """
         return False
 
@@ -647,7 +653,11 @@ class Algorithm(ABC):
         covers array-valued batch states; algorithms with structured batch
         states override it.  Implementations must visit the leaves in a fixed
         order and rebuild the state from the mapped values
-        (:meth:`batch_state_stack` relies on both properties).
+        (:meth:`batch_state_stack` relies on both properties).  Mapping every
+        leaf to ``None`` must give a hashable value that equals another
+        state's exactly when the two stack (for the amortized midpoint, same
+        phase position and length): the valency estimator groups restored
+        states by it.
         """
         if isinstance(batch_state, np.ndarray):
             return fn(batch_state)

@@ -37,7 +37,11 @@ The algorithm's capabilities pick the evaluation path:
   outputs; *stateful* batch algorithms (e.g. the amortized midpoint) are
   covered through the ``batch_state`` snapshot/restore hooks
   (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`), which
-  resume the recorded per-agent states exactly.
+  resume the recorded per-agent states exactly.  Estimates at many
+  configurations (a trace, a recorded ensemble) share passes: configurations
+  are grouped by round number (round-dependent algorithms only) and by the
+  restored state with its arrays stripped, e.g. the amortized midpoint's
+  phase position (:meth:`ValencyEstimator._estimates`).
 * the **reference path** (any algorithm without batch hooks) runs one
   ``run_from_configuration`` per sampled future.
 
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +65,7 @@ from repro.execution.engine import run_from_configuration
 from repro.execution.state import Configuration
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.network_model import NetworkModel
-from repro.types import diameter
+from repro.types import pairwise_diameters
 
 
 def validate_estimator_parameters(
@@ -161,20 +165,15 @@ class ValencyEstimator:
 
     def limit_estimates(self, configuration: Configuration) -> np.ndarray:
         """Estimated reachable limits from ``configuration`` (one row per sampled future)."""
-        if self._batchable():
-            return self._limit_estimates_batch([configuration])[0]
-        if self._batchable_stateful():
-            return self._limit_estimates_batch_state([configuration])[0]
-        return self._limit_estimates_reference(configuration)
+        return self.estimate(configuration).limits
 
     def estimate(self, configuration: Configuration) -> ValencyEstimate:
         """Full estimate (limits plus certified lower/upper diameter bounds)."""
-        limits = self.limit_estimates(configuration)
-        return self._estimate_from_limits(configuration, limits)
+        return self._estimates([configuration])[0]
 
     def valency_diameter(self, configuration: Configuration) -> float:
         """Lower estimate of ``δ_N(C)`` (diameter of the sampled reachable limits)."""
-        return float(diameter(self.limit_estimates(configuration)))
+        return self.estimate(configuration).lower_diameter
 
     def valencies_intersect(
         self,
@@ -213,34 +212,11 @@ class ValencyEstimator:
     ) -> List[ValencyEstimate]:
         """Valency estimates along a sequence of configurations (e.g. an execution).
 
-        On the batched path, round-invariant algorithms evaluate the futures
-        of *all* configurations as one stacked ensemble per exploration
-        depth; other algorithms batch each configuration's futures
-        separately.
+        On the batched paths, configurations whose futures can share a
+        stacked ensemble (see :meth:`_estimates`) are evaluated together, in
+        passes of at most ``scenario_chunk`` suffix scenarios.
         """
-        configurations = list(configurations)
-        if not configurations:
-            return []
-        if self._batchable():
-            if self._algorithm.round_invariant() and len(configurations) > 1:
-                per_config = self._limit_estimates_batch(configurations)
-            else:
-                per_config = [
-                    self._limit_estimates_batch([configuration])[0]
-                    for configuration in configurations
-                ]
-            return [
-                self._estimate_from_limits(configuration, limits)
-                for configuration, limits in zip(configurations, per_config)
-            ]
-        if self._batchable_stateful():
-            return [
-                self._estimate_from_limits(
-                    configuration, self._limit_estimates_batch_state([configuration])[0]
-                )
-                for configuration in configurations
-            ]
-        return [self.estimate(c) for c in configurations]
+        return self._estimates(configurations)
 
     def certify_ensemble(
         self, ensemble: EnsembleExecution
@@ -252,13 +228,18 @@ class ValencyEstimator:
         ``b``'s estimate at recorded round ``ensemble.recorded_rounds[r]``,
         bit-for-bit identical to what the per-scenario trace would produce
         (all evaluation paths perform the same elementwise operations, only
-        stacked).  On the batched paths the sampled futures of *all* ``B``
-        scenarios (and, for round-invariant algorithms, all recorded rounds)
-        are stacked into single ensemble passes — per-round ``(B·K, n, n)``
-        adjacency stacks — instead of ``B`` separate estimator runs; stateful
-        batch algorithms restore each scenario's recorded per-agent snapshot
-        through ``batch_state_from_states`` and stack the restored states via
-        ``batch_state_stack``.
+        stacked).  On the batched paths the sampled futures of all ``B``
+        scenarios at all recorded rounds are grouped into stacked ensemble
+        passes — per-round ``(B·K, n, n)`` adjacency stacks of at most
+        ``scenario_chunk`` scenarios — instead of ``B`` separate estimator
+        runs (see :meth:`_estimates`).  Round-dependent algorithms stack one
+        recorded round per group.  Stateful batch algorithms restore each
+        scenario's recorded per-agent snapshot through
+        ``batch_state_from_states`` and stack restored states that share
+        their stripped state (``batch_map(state, lambda _: None)``) via
+        ``batch_state_stack``: a round-invariant stateful algorithm such as
+        the amortized midpoint then runs one group per phase position, not
+        one per recorded round.
 
         Requires the ensemble to have been run with ``record_states=True``
         (:meth:`~repro.execution.batch.EnsembleExecution.scenario_configurations`);
@@ -316,60 +297,80 @@ class ValencyEstimator:
     ) -> List[List[ValencyEstimate]]:
         """Serial certification core over recorded ``[round][scenario]`` rows."""
         batch_size = len(recorded[0])
-        record_count = len(recorded)
-        flat_configs = [recorded[r][b] for r in range(record_count) for b in range(batch_size)]
-        # The batch estimators only stream the *prefix* axis, so the number of
-        # stacked configurations per call must itself respect the scenario
-        # chunk — otherwise a large ensemble would materialize a
-        # (R·B·M, n, n) suffix stack no matter what scenario_chunk says.
-        config_group = max(1, self._scenario_chunk // max(1, len(self._model)))
+        flat = self._estimates([configuration for row in recorded for configuration in row])
+        return [flat[b::batch_size] for b in range(batch_size)]
 
-        if self._batchable():
-            if self._algorithm.round_invariant():
-                # Stacked ensembles over all B scenarios at all recorded
-                # rounds per exploration depth, in memory-bounded groups.
-                flat_limits = []
-                for start in range(0, len(flat_configs), config_group):
-                    flat_limits.extend(
-                        self._limit_estimates_batch(
-                            flat_configs[start : start + config_group]
-                        )
-                    )
-            else:
-                # Scenarios of one recorded round share their round number, so
-                # they stack even without round invariance.
-                flat_limits = []
-                for r in range(record_count):
-                    for start in range(0, batch_size, config_group):
-                        flat_limits.extend(
-                            self._limit_estimates_batch(
-                                recorded[r][start : start + config_group]
-                            )
-                        )
-        elif self._batchable_stateful():
-            flat_limits = []
-            for r in range(record_count):
-                for start in range(0, batch_size, config_group):
-                    flat_limits.extend(
-                        self._limit_estimates_batch_state(
-                            recorded[r][start : start + config_group]
-                        )
-                    )
-        else:
-            flat_limits = [
-                self._limit_estimates_reference(configuration)
-                for configuration in flat_configs
-            ]
+    def _estimates(
+        self, configurations: Sequence[Configuration]
+    ) -> List[ValencyEstimate]:
+        """Estimates at many configurations, stacked into shared ensemble passes.
 
-        return [
-            [
-                self._estimate_from_limits(
-                    recorded[r][b], flat_limits[r * batch_size + b]
-                )
-                for r in range(record_count)
-            ]
-            for b in range(batch_size)
+        Configurations are grouped by a key: the round number (only when the
+        algorithm is not :meth:`~repro.algorithms.base.Algorithm.round_invariant`)
+        plus the restored batch state with its array leaves stripped,
+        ``batch_map(state, lambda _: None)``.  That stripped state is ``None``
+        for array states (the outputs-based path restores nothing) and the
+        phase position for the amortized midpoint, so each group holds
+        configurations whose restored states stack.  Each group runs through
+        the path's batch estimator in slices of at most ``config_group``
+        configurations — the estimators stream only the prefix axis, so this
+        keeps every stacked suffix within ``scenario_chunk`` scenarios — and
+        its lower diameters come from one :func:`pairwise_diameters` call.
+        Estimates are returned in input order.
+        """
+        configurations = list(configurations)
+        algorithm = self._algorithm
+        invariant = algorithm.round_invariant()
+        round_keys = [
+            None if invariant else configuration.round_number
+            for configuration in configurations
         ]
+        if self._batchable():
+            keys = round_keys
+
+            def run(indices):
+                return self._limit_estimates_batch([configurations[i] for i in indices])
+
+        elif self._batchable_stateful():
+            restored = [
+                algorithm.batch_state_from_states(configuration.states)
+                for configuration in configurations
+            ]
+            keys = [
+                (round_key, algorithm.batch_map(state, lambda _leaf: None))
+                for round_key, state in zip(round_keys, restored)
+            ]
+
+            def run(indices):
+                return self._limit_estimates_batch_state(
+                    [configurations[i] for i in indices], [restored[i] for i in indices]
+                )
+
+        else:
+            keys = [None] * len(configurations)
+
+            def run(indices):
+                return [self._limit_estimates_reference(configurations[i]) for i in indices]
+
+        groups: Dict[Hashable, List[int]] = {}
+        for index, key in enumerate(keys):
+            groups.setdefault(key, []).append(index)
+        config_group = max(1, self._scenario_chunk // max(1, len(self._model)))
+        convex = algorithm.is_convex_combination()
+        estimates: List[Optional[ValencyEstimate]] = [None] * len(configurations)
+        for members in groups.values():
+            for start in range(0, len(members), config_group):
+                indices = members[start : start + config_group]
+                limits = run(indices)
+                lower = pairwise_diameters(np.stack(limits))
+                for index, config_limits, config_lower in zip(indices, limits, lower):
+                    configuration = configurations[index]
+                    estimates[index] = ValencyEstimate(
+                        limits=config_limits,
+                        lower_diameter=float(config_lower),
+                        upper_diameter=configuration.output_diameter() if convex else None,
+                    )
+        return estimates
 
     # ------------------------------------------------------------------ #
     # Reference path
@@ -469,7 +470,8 @@ class ValencyEstimator:
         Scenario order matches the reference loop exactly: depth-ascending
         prefixes (``itertools.product`` order) with the model's constant
         suffix graphs innermost.  When several configurations are stacked
-        (round-invariant algorithms), each chunk runs a
+        (one :meth:`_estimates` group: configurations at one round, or at any
+        rounds for round-invariant algorithms), each chunk runs a
         ``(R · P · M, n, n)`` adjacency ensemble where ``R`` is the number of
         configurations, ``P`` the prefix-chunk size and ``M`` the model size.
         """
@@ -558,19 +560,21 @@ class ValencyEstimator:
     # ------------------------------------------------------------------ #
 
     def _limit_estimates_batch_state(
-        self, configurations: Sequence[Configuration]
+        self, configurations: Sequence[Configuration], states: Sequence[Any]
     ) -> List[np.ndarray]:
         """Batched limit estimates through the ``batch_state`` restore hooks.
 
-        Each configuration's per-agent state snapshot is restored into a
-        single-scenario batch state
-        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`);
-        multiple configurations (the scenarios of one recorded ensemble
-        round, which share their round number) are stacked along a leading
-        scenario axis via
+        ``states`` holds each configuration's per-agent snapshot restored
+        into a single-scenario batch state
+        (:meth:`~repro.algorithms.base.Algorithm.batch_state_from_states`).
+        The restored states are stacked along a leading scenario axis via
         :meth:`~repro.algorithms.base.Algorithm.batch_state_stack`, fanned
         out over the chunk's prefixes via ``batch_map`` and driven through
         the same stacked adjacency ensembles as the convex-combination path.
+        Round-dependent algorithms need the configurations at one round;
+        round-invariant ones (e.g. the amortized midpoint, whose phase
+        position lives in the state) stack configurations from any rounds
+        whose states stack — :meth:`_estimates` groups them so.
         Scenario order matches the reference loop exactly
         (configuration-major, depth-ascending prefixes, model suffix graphs
         innermost), and min/max reductions select actual state elements, so
@@ -581,19 +585,15 @@ class ValencyEstimator:
         model_count = len(model_graphs)
         configurations = list(configurations)
         config_count = len(configurations)
-        rounds = {configuration.round_number for configuration in configurations}
-        if len(rounds) != 1:
-            raise ExecutionError(
-                "stacked batch-state estimates need configurations at one round, "
-                f"got rounds {sorted(rounds)}"
-            )
-        base = algorithm.batch_state_stack(
-            [
-                algorithm.batch_state_from_states(configuration.states)
-                for configuration in configurations
-            ]
-        )  # leaves (R, n, d) with R = config_count
-        base_round = rounds.pop()
+        if not algorithm.round_invariant():
+            rounds = {configuration.round_number for configuration in configurations}
+            if len(rounds) != 1:
+                raise ExecutionError(
+                    "stacked batch-state estimates of a round-dependent algorithm need "
+                    f"configurations at one round, got rounds {sorted(rounds)}"
+                )
+        base = algorithm.batch_state_stack(states)  # leaves (R, n, d), R = config_count
+        base_round = configurations[0].round_number
         prefix_chunk_size = max(
             1, self._scenario_chunk // max(1, config_count * model_count)
         )
@@ -697,12 +697,3 @@ class ValencyEstimator:
         final_outputs = np.asarray(algorithm.batch_outputs(state), dtype=float)
         finals[alive] = np.broadcast_to(final_outputs, (alive.size,) + finals.shape[1:])
         return finals
-
-    def _estimate_from_limits(
-        self, configuration: Configuration, limits: np.ndarray
-    ) -> ValencyEstimate:
-        lower = diameter(limits)
-        upper: Optional[float] = None
-        if self._algorithm.is_convex_combination():
-            upper = configuration.output_diameter()
-        return ValencyEstimate(limits=limits, lower_diameter=lower, upper_diameter=upper)

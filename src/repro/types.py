@@ -101,7 +101,9 @@ def pairwise_diameters(outputs: np.ndarray) -> np.ndarray:
     squared sums, square roots, maximum), so a batched evaluation of candidate
     configurations is bit-for-bit comparable with per-candidate
     :func:`diameter` calls — which is what lets the batched adversaries make
-    identical choices to the per-scenario ones.
+    identical choices to the per-scenario ones.  The one exception is the
+    sign bit of a NaN result, which numpy's max reduction sets by array
+    length (a negative NaN input can come out of either function as +NaN).
     """
     points = np.asarray(outputs, dtype=float)
     if points.ndim < 2:

@@ -177,7 +177,25 @@ class TestCertifyEnsembleShapeErrors:
 
     def test_mixed_round_batch_state_stacking_is_rejected(self):
         # Internal invariant of the stacked batch-state path: configurations
-        # must share one round.
+        # of a round-dependent algorithm must share one round.
+        from repro.algorithms import AmortizedMidpointAlgorithm, DecidingAlgorithm
+        from repro.execution.engine import initial_configuration, apply_graph
+        from repro.models.standard import psi_model
+
+        algorithm = DecidingAlgorithm(AmortizedMidpointAlgorithm(), 3)
+        assert not algorithm.round_invariant()
+        config0 = initial_configuration(algorithm, np.linspace(0, 1, 4))
+        config1 = apply_graph(algorithm, config0, complete_graph(4))
+        states = [algorithm.batch_state_from_states(c.states) for c in (config0, config1)]
+        estimator = ValencyEstimator(algorithm, psi_model(4), suffix_rounds=5)
+        with pytest.raises(ExecutionError, match=r"rounds \[0, 1\]"):
+            estimator._limit_estimates_batch_state([config0, config1], states)
+
+    def test_mixed_phase_positions_never_reach_batch_state_stack(self):
+        # The round-invariant amortized midpoint groups by phase position, so
+        # configurations at different positions are estimated in separate
+        # stacks (batch_state_stack would reject them) and each matches its
+        # own single-configuration estimate.
         from repro.algorithms import AmortizedMidpointAlgorithm
         from repro.execution.engine import initial_configuration, apply_graph
         from repro.models.standard import psi_model
@@ -185,6 +203,23 @@ class TestCertifyEnsembleShapeErrors:
         algorithm = AmortizedMidpointAlgorithm()
         config0 = initial_configuration(algorithm, np.linspace(0, 1, 4))
         config1 = apply_graph(algorithm, config0, complete_graph(4))
+        config2 = apply_graph(algorithm, config1, complete_graph(4))
+        config3 = apply_graph(algorithm, config2, complete_graph(4))
+        configurations = [config0, config1, config2, config3]
+        stacked_positions = []
+        original_stack = algorithm.batch_state_stack
+
+        def spying_stack(states):
+            stacked_positions.append({state.rounds_into_phase for state in states})
+            return original_stack(states)
+
+        algorithm.batch_state_stack = spying_stack
         estimator = ValencyEstimator(algorithm, psi_model(4), suffix_rounds=5)
-        with pytest.raises(ExecutionError, match=r"rounds \[0, 1\]"):
-            estimator._limit_estimates_batch_state([config0, config1])
+        estimates = estimator.trace(configurations)
+        assert all(len(positions) == 1 for positions in stacked_positions)
+        # Phase length 3: rounds 0 and 3 share position 0 and one stack.
+        assert sorted(min(p) for p in stacked_positions) == [0, 1, 2]
+        for configuration, estimate in zip(configurations, estimates):
+            single = estimator.estimate(configuration)
+            assert np.array_equal(estimate.limits, single.limits)
+            assert estimate.lower_diameter == single.lower_diameter
