@@ -12,10 +12,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.config import resolve_seed
 from repro.exceptions import AsynchronyError
+
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+#: First word of every delay-draw key: a stream constant of its own, so a
+#: delay key never coincides with the key of another counter-based stream
+#: that shares the config-scoped seed.
+_DELAY_STREAM = 0xDE1A7
+
+
+def counter_uniform(*words: int) -> float:
+    """A uniform draw in ``[0, 1)`` that is a pure hash of the integer key ``words``.
+
+    A counter-based generator in the sense of Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3" (SC'11): there is no generator state, only a
+    key.  The key words (each reduced mod 2^64) are chained through the
+    splitmix64 finalizer of Steele, Lea & Flood (OOPSLA'14),
+    ``state = splitmix64(state XOR word)`` from ``state = 0``, and the top 53
+    bits of the final state are the mantissa of the draw.
+    """
+    state = 0
+    for word in words:
+        x = ((state ^ (word & _MASK64)) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state = x ^ (x >> 31)
+    return (state >> 11) * 2.0**-53
 
 
 class DelayScheduler:
@@ -46,15 +70,20 @@ class ConstantDelayScheduler(DelayScheduler):
 
 
 class RandomDelayScheduler(DelayScheduler):
-    """Deliveries take independent uniform delays in ``[min_delay, 1]`` (seeded).
+    """Deliveries take independent uniform delays in ``[min_delay, 1)`` (seeded).
 
     ``seed=None`` (the default) defers to the config-scoped seed of
     :class:`~repro.config.EngineConfig` at each ``delay`` call, so a whole
     faulted study is reproduced from the single ``EngineConfig(seed=...)``
     knob; passing an explicit seed pins this scheduler independently of the
-    active config.  The per-delivery streams are keyed by
-    ``(seed, sender, recipient, send_time)``, making each delay independent
-    of event-processing order.
+    active config.
+
+    Each delay is counter-based: ``u = counter_uniform(_DELAY_STREAM, seed,
+    sender, recipient, int(send_time * 1e6))`` (a splitmix64 chain over the
+    key, its top 53 bits mapped to ``[0, 1)``) and the delay is
+    ``min_delay + (1 - min_delay) * u``.  A draw is a pure function of its
+    key, so it does not depend on event-processing order, and no random
+    generator is built per delivery.  Self-deliveries take ``self_delay``.
     """
 
     def __init__(
@@ -72,9 +101,10 @@ class RandomDelayScheduler(DelayScheduler):
     def delay(self, sender: int, recipient: int, send_time: float, round_hint: Optional[int]) -> float:
         if sender == recipient:
             return self._self_delay
-        seed = resolve_seed(self._seed)
-        rng = np.random.default_rng((seed, sender, recipient, int(send_time * 1e6)))
-        return float(rng.uniform(self._min_delay, 1.0))
+        u = counter_uniform(
+            _DELAY_STREAM, resolve_seed(self._seed), sender, recipient, int(send_time * 1e6)
+        )
+        return self._min_delay + (1.0 - self._min_delay) * u
 
 
 class AdversarialRoundDelayScheduler(DelayScheduler):

@@ -525,6 +525,10 @@ class AsynchronousSimulator:
         state: Any,
     ) -> None:
         value = np.asarray(self._algorithm.output(agent, state), dtype=float)
-        if not np.array_equal(value, outputs[agent]):
+        # ``np.array_equal`` semantics at a fraction of its cost: nested lists
+        # differ when the shapes do, NaN never equals the fresh float object
+        # of another ``tolist`` (so a NaN output is always recorded), and
+        # 0.0 == -0.0.
+        if value.tolist() != outputs[agent].tolist():
             outputs[agent] = value
             samples.append(OutputSample(time=time, agent=agent, value=value.copy()))

@@ -92,7 +92,7 @@ class EngineConfig:
         The config-scoped RNG seed (default 0).  Every stochastic engine
         component — :class:`~repro.asynchrony.schedulers.RandomDelayScheduler`
         and the :class:`~repro.faults.FaultPlan` samplers — derives its
-        streams from this single seed (via disjoint per-purpose seed tuples),
+        streams from this single seed (via disjoint per-purpose stream constants),
         so a faulted run is reproduced exactly by re-entering the same
         config, across threads included (the stack is thread-local).
     threads:

@@ -189,7 +189,8 @@ def _batch_diameters(outputs: np.ndarray) -> np.ndarray:
     point whose distance to the farthest corner of the scenario's bounding box
     is below the best extreme-pair distance can never be an endpoint of the
     diameter, so only the (typically few) surviving points enter the exact
-    pairwise pass.
+    pairwise pass.  A NaN result has its sign bit cleared, as in
+    :func:`~repro.types.diameter`.
     """
     outputs = np.asarray(outputs, dtype=float)
     batch_size, n, d = outputs.shape
@@ -197,7 +198,7 @@ def _batch_diameters(outputs: np.ndarray) -> np.ndarray:
         return np.zeros(batch_size, dtype=float)
     if d == 1:
         flat = outputs[..., 0]
-        return flat.max(axis=-1) - flat.min(axis=-1)
+        return np.abs(flat.max(axis=-1) - flat.min(axis=-1))
     lo = outputs.min(axis=1)
     hi = outputs.max(axis=1)
     # Lower bound: the best pairwise distance among the per-axis extreme points.
@@ -217,7 +218,7 @@ def _batch_diameters(outputs: np.ndarray) -> np.ndarray:
             best = float(np.sqrt((diffs * diffs).sum(axis=-1)).max())
             if best > result[scenario]:
                 result[scenario] = best
-    return result
+    return np.abs(result)
 
 
 def stack_initial_values(initial_values: Union[np.ndarray, Sequence[ValuesLike]]) -> np.ndarray:

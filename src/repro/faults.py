@@ -68,9 +68,11 @@ from repro.exceptions import ConfigError, FaultModelError
 from repro.graphs.digraph import CommunicationGraph
 from repro.models.patterns import CommunicationPattern, RoundContext
 
-#: Disambiguating tag so fault-stream seed tuples can never collide with the
-#: 4-tuples of :class:`~repro.asynchrony.schedulers.RandomDelayScheduler`
-#: under a shared config-scoped seed.
+#: Second word of every fault-stream seed tuple ``(seed, _STREAM_TAG, ...)``,
+#: so a fault stream's generator never coincides with a generator another
+#: component seeds from the same config-scoped seed.  Random delays are not
+#: drawn from seed tuples at all: :class:`~repro.asynchrony.schedulers.RandomDelayScheduler`
+#: hashes its keys under its own stream constant (``_DELAY_STREAM``).
 _STREAM_TAG = 0xFA017
 _STREAM_DROP = 0
 _STREAM_JITTER = 1

@@ -75,7 +75,8 @@ def diameter(points: Iterable[np.ndarray] | np.ndarray) -> float:
     """Euclidean diameter of a finite point set (``diam`` in the paper).
 
     ``points`` may be an ``(m, d)`` array or an iterable of 1-D arrays.  The
-    diameter of the empty set and of a singleton is 0.
+    diameter of the empty set and of a singleton is 0.  A NaN result has its
+    sign bit cleared, as in :func:`pairwise_diameters`.
 
     >>> diameter(np.array([[0.0], [3.0], [1.0]]))
     3.0
@@ -90,7 +91,9 @@ def diameter(points: Iterable[np.ndarray] | np.ndarray) -> float:
     # Pairwise distances; m is small (m = n agents) so the O(m^2) cost is fine.
     diffs = pts[:, None, :] - pts[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    return float(dists.max())
+    # A distance is never negative, so clearing the sign bit changes only a
+    # NaN, whose sign numpy's max reduction sets by array length.
+    return abs(float(dists.max()))
 
 
 def pairwise_diameters(outputs: np.ndarray) -> np.ndarray:
@@ -101,9 +104,9 @@ def pairwise_diameters(outputs: np.ndarray) -> np.ndarray:
     squared sums, square roots, maximum), so a batched evaluation of candidate
     configurations is bit-for-bit comparable with per-candidate
     :func:`diameter` calls — which is what lets the batched adversaries make
-    identical choices to the per-scenario ones.  The one exception is the
-    sign bit of a NaN result, which numpy's max reduction sets by array
-    length (a negative NaN input can come out of either function as +NaN).
+    identical choices to the per-scenario ones.  Both clear the sign bit of
+    their result, so a NaN comes out positive whichever reduction (and
+    array length) produced it.
     """
     points = np.asarray(outputs, dtype=float)
     if points.ndim < 2:
@@ -117,10 +120,10 @@ def pairwise_diameters(outputs: np.ndarray) -> np.ndarray:
         # in O(n) instead of O(n^2).
         flat = points[..., 0]
         spread = flat.max(axis=-1) - flat.min(axis=-1)
-        return np.sqrt(spread * spread)
+        return np.abs(np.sqrt(spread * spread))
     diffs = points[..., :, None, :] - points[..., None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    return dists.max(axis=(-1, -2))
+    return np.abs(dists.max(axis=(-1, -2)))
 
 
 # --------------------------------------------------------------------------- #

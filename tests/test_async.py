@@ -241,3 +241,36 @@ class TestSortedSampleCacheInvalidation:
         first = execution._sorted_samples()
         second = execution._sorted_samples()
         assert first is second
+
+
+class _ScriptedOutputs(MinRelayAlgorithm):
+    """Reports ``state`` itself as the output, so a test scripts the outputs."""
+
+    def output(self, agent_id, state):
+        return state
+
+
+class TestRecordOutputSemantics:
+    """`_record_output` records a sample exactly when `np.array_equal` says the output changed."""
+
+    @pytest.mark.parametrize(
+        "previous,current,recorded",
+        [
+            ([0.5], [0.5], False),
+            ([0.0], [-0.0], False),  # 0.0 == -0.0
+            ([np.nan], [np.nan], True),  # NaN never equals NaN
+            ([1.0, 2.0], [1.0, 2.0], False),
+            ([1.0, 2.0], [1.0, 3.0], True),
+        ],
+    )
+    def test_sample_appended_iff_output_changed(self, previous, current, recorded):
+        simulator = AsynchronousSimulator(_ScriptedOutputs(), [[0.0] * len(previous)] * 2, f=0)
+        outputs = np.array([previous, previous], dtype=float)
+        samples = []
+        simulator._record_output(samples, outputs, 1, 0.5, np.array(current))
+        assert (len(samples) == 1) == recorded
+        assert recorded == (not np.array_equal(np.array(current), np.array(previous)))
+        if recorded:
+            assert samples[0].time == 0.5 and samples[0].agent == 1
+            np.testing.assert_array_equal(outputs[1], current)
+            np.testing.assert_array_equal(samples[0].value, current)

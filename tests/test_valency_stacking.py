@@ -33,6 +33,7 @@ from repro.algorithms.amortized_midpoint import AmortizedMidpointState
 from repro.campaign.targets import PerturbedAlgorithm
 from repro.core.valency import ValencyEstimator
 from repro.execution import run_execution, run_pattern_ensemble
+from repro.execution.batch import _batch_diameters
 from repro.faults import CrashSpec, FaultPlan
 from repro.graphs.families import complete_graph, cycle_graph, directed_star_graph
 from repro.models.patterns import PeriodicPattern
@@ -301,13 +302,31 @@ class TestGroupedLowerDiameters:
         grouped = pairwise_diameters(limits)
         for config_limits, lower in zip(limits, grouped):
             assert _bits(float(lower)) == _bits(diameter(config_limits))
-        # The sign bit of a NaN result is not pinned: numpy's max reduction
-        # sets it by array length, so only NaN-ness is compared for -NaN.
         limits[5, 1, 0] = -np.nan
-        assert np.isnan(pairwise_diameters(limits)[5]) and np.isnan(diameter(limits[5]))
+        assert _bits(float(pairwise_diameters(limits)[5])) == _bits(diameter(limits[5]))
         single_rows = limits[:, :1]
         for config_limits, lower in zip(single_rows, pairwise_diameters(single_rows)):
             assert _bits(float(lower)) == _bits(diameter(config_limits))
+
+    def test_negative_nan_gives_one_canonical_nan(self):
+        # numpy's max reduction sets a NaN's sign bit by array length, so
+        # without the sign bit cleared the d = 1 shortcut and diameter()
+        # returned -NaN and +NaN for these limits.
+        limits = np.array([[0.1], [-np.nan], [0.3], [0.2], [0.5]])
+        assert _bits(limits[1, 0]) != _bits(np.nan)
+        shortcut = pairwise_diameters(limits)
+        dense = pairwise_diameters(np.concatenate([limits, np.zeros_like(limits)], axis=1))
+        stacked = pairwise_diameters(np.stack([limits, limits]))
+        canonical = _bits(np.nan)
+        assert _bits(float(shortcut)) == canonical
+        assert _bits(float(dense)) == canonical
+        assert all(_bits(float(value)) == canonical for value in stacked)
+        assert _bits(diameter(limits)) == canonical
+        assert _bits(diameter(limits[:, 0])) == canonical
+        # The ensemble route (EnsembleExecution.diameters / final_diameters).
+        assert _bits(float(_batch_diameters(limits[None])[0])) == canonical
+        planar = np.concatenate([limits, np.zeros_like(limits)], axis=1)
+        assert _bits(float(_batch_diameters(planar[None])[0])) == canonical
 
     @pytest.mark.parametrize(
         "algorithm,model,n",
